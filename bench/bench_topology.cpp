@@ -1,11 +1,12 @@
 // E20 — topology route-path cost: per-trial wall-clock of the broadcast
 // protocol across interaction-graph families at fixed n.
 //
-// Not a paper claim: times the substrate. The complete graph rides the
-// zero-cost identity path (and, in FLIP_SIMD builds, the vector route
-// kernel); every sparse family routes through GraphRecipient on the scalar
-// path, the rewired kinds paying an extra CounterRng stream per rewired
-// edge lookup and the dynamic kind re-deriving its graph key every round.
+// Not a paper claim: times the substrate. Every family draws through the
+// same route kernel (vector in FLIP_SIMD builds); the complete graph takes
+// the kernel's recipient as is, while every sparse family adds a neighbor
+// remap per message, the rewired kinds paying an extra CounterRng stream
+// per rewired edge lookup and the dynamic kind re-deriving its graph key
+// every round.
 // This harness makes that price visible next to what the graph does to the
 // protocol itself (success / rounds / messages at the same eps), so a
 // reader can separate substrate cost from protocol behavior:
@@ -49,8 +50,8 @@ int main(int argc, char** argv) {
   flip::cli::ArgParser parser(
       "bench_topology",
       "E20: broadcast wall-clock and outcome across interaction-graph\n"
-      "families at fixed n. The complete graph is the identity fast path;\n"
-      "sparse families route through the scalar GraphRecipient.");
+      "families at fixed n. Every family draws through the same route\n"
+      "kernel; sparse families add a neighbor remap per message.");
   parser.add_option("--n", "list", "comma-separated population sizes",
                     &n_list);
   parser.add_option("--topologies", "list",
@@ -102,9 +103,9 @@ int main(int argc, char** argv) {
   flip::cli::bench_banner(
       options, "E20 bench_topology",
       "Engineering claim (docs/PERFORMANCE.md): the complete graph keeps "
-      "the historical identity route path; sparse families pay the "
-      "GraphRecipient scalar route, priced here next to the protocol-level "
-      "effect of the graph.");
+      "the historical identity route path; sparse families pay a neighbor "
+      "remap per message after the same route kernel, priced here next to "
+      "the protocol-level effect of the graph.");
 
   flip::TextTable table({"n", "topology", "trials", "s/trial", "vs_complete",
                          "success", "rounds", "messages"});

@@ -45,7 +45,7 @@ fi
 # Smoke sweeps: flipsim must enumerate the registry and emit schema-valid
 # JSON for a small static sweep, a dynamic-environment one (correlated
 # noise bursts at a CI-friendly size), AND a sparse-topology one (the
-# --topology override on a graph preset, exercising the GraphRecipient
+# --topology override on a graph preset, exercising the sparse neighbor
 # route + per-round rewiring end to end). The JSON lands in the build
 # dir; CI uploads it as an artifact.
 "$BUILD_DIR/tools/flipsim" --list >/dev/null
@@ -178,6 +178,17 @@ if [ "$BUILD_TYPE" = "Release" ] && command -v python3 >/dev/null 2>&1; then
     bench/results/BENCH_shards.json "$BUILD_DIR/bench_shards.json"
 else
   echo "skipping perf gates (build type: ${BUILD_TYPE:-unknown})"
+fi
+
+# The repo benchmark's own checks (perfbench/, BENCHMARK.json): every
+# workload at a tiny size must pass its output checks, a run fed one wrong
+# expected value per check must fail every op, and the traced run must
+# emit every per-layer metric. It builds its own Release tree in
+# .bench_build/ (~25 s the first time), then runs for ~22 s.
+if command -v python3 >/dev/null 2>&1; then
+  python3 perfbench/run.py --self-test
+else
+  echo "python3 not found; skipping perfbench self-test" >&2
 fi
 
 # FLIP_SIMD=ON pass: build the vector round kernels and re-run the whole

@@ -34,7 +34,8 @@ namespace flip::net {
 struct ServiceOptions {
   std::uint16_t port = 0;        ///< 0 = kernel-assigned ephemeral port
   std::size_t threads = 0;       ///< worker override for requests that
-                                 ///< leave threads unset (0 = inline)
+                                 ///< leave threads unset (0 = the shared
+                                 ///< pool, as SweepSpec::threads)
   std::size_t queue_capacity = 16;  ///< accepted-but-unstarted sweep cap
 };
 

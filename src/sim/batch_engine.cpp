@@ -1,6 +1,7 @@
 #include "sim/batch_engine.hpp"
 
 #include <memory>
+#include <stdexcept>
 
 namespace flip {
 

@@ -7,18 +7,19 @@
 // and on top partitions one trial's agents into S shards that execute each
 // round's route and deliver phases in parallel:
 //
-//  * run(): a statically dispatched replica of Engine::run. The protocol
-//    and channel are template parameters (FlipProtocolT / the concrete
-//    channel classes are `final`), so every per-message call devirtualizes
-//    and inlines, and the Mailbox + send buffer persist across trials in
-//    allocation-free reuse mode.
+//  * run(): Engine::run's round loop (run_rounds, sim/engine.hpp) with the
+//    protocol and channel as concrete template types (FlipProtocolT / the
+//    concrete channel classes are `final`), so every per-message call
+//    devirtualizes and inlines, and the Mailbox + send buffer persist
+//    across trials in allocation-free reuse mode.
 //  * run_breathe(): a hand-packed structure-of-arrays implementation of
 //    Engine + BreatheProtocol for the paper's two-stage protocol — the hot
 //    workload behind broadcast / majority / boost. Each round runs two
 //    shard-parallel phases over the persistent ThreadPool workers:
 //      route   — every shard walks its own materialized sender list, draws
 //                each sender's recipient + acceptance priority from the
-//                sender's counter stream, and scatters the message into the
+//                sender's counter stream (through the block kernels of
+//                src/simd/), and scatters the message into the
 //                destination shard's inbox bucket;
 //      deliver — every shard min-combines the arrivals for its agent range
 //                (smallest (priority, sender) pair wins — a commutative
@@ -46,10 +47,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <concepts>
 #include <cstdint>
-#include <optional>
-#include <stdexcept>
 #include <type_traits>
 #include <vector>
 
@@ -67,21 +65,6 @@
 #include "util/thread_pool.hpp"
 
 namespace flip {
-
-/// Compile-time shape of a Flip-model protocol: everything the round loop
-/// calls, without requiring inheritance from Protocol. Every Protocol
-/// subclass satisfies it; the templates dispatch statically, so passing the
-/// concrete (`final`) type devirtualizes the whole loop.
-template <typename P>
-concept FlipProtocolT = requires(P p, const P cp, Round r, AgentId a,
-                                 Opinion o, std::vector<Message>& out) {
-  { p.collect_sends(r, out) };
-  { p.deliver(a, o, r) };
-  { p.end_round(r) };
-  { cp.done(r) } -> std::convertible_to<bool>;
-  { cp.current_bias() } -> std::convertible_to<double>;
-  { cp.current_opinionated() } -> std::convertible_to<std::size_t>;
-};
 
 /// Everything one run_breathe() execution yields. Mirrors what the classic
 /// path exposes through Metrics + BreatheProtocol introspection.
@@ -147,10 +130,11 @@ namespace detail {
 /// channels, the schedule evaluation for the round-scoped one.
 /// Flip functors additionally expose kIntegerThreshold: true when the
 /// per-message decision is exactly `(rng() >> 11) < threshold` for a
-/// round-constant `threshold` member — the shape the SIMD flip kernel
+/// round-constant `threshold` member — the shape the flip block kernel
 /// implements. HeterogeneousFlip draws a data-dependent probability per
-/// message, so it opts out and keeps the scalar deliver loop (its route
-/// phase still vectorizes: route draws are channel-independent).
+/// message, so it opts out: deliver() fills its flip lanes with a plain
+/// per-recipient loop instead (route draws are channel-independent, so
+/// its route phase runs the kernel like every other channel's).
 struct BscFlip {
   static constexpr bool kIntegerThreshold = true;
   std::uint64_t threshold;
@@ -237,6 +221,16 @@ struct RoutedMsg {
 // functions: inside the (large) templated round loop they would compete
 // for registers with all the surrounding phase state, and a spill inside a
 // 100M-iteration loop costs more than a call per round.
+//
+// Each loop is split at the kernel dispatch seam (src/simd/simd.hpp):
+// pass A replays the pure-arithmetic RNG draws of a block of messages
+// (recipient draw + acceptance priority, or the channel flip) through the
+// active block kernel into small stack buffers — the scalar set is just
+// another ISA there — and pass B is the memory-irregular remainder
+// (neighbor remap, scatter, min-combine, counter packing), consuming one
+// precomputed lane per message. Every draw is a pure function of
+// (key, agent), never of which other draws happened, so precomputing a
+// draw that pass B then discards (an asleep recipient) changes nothing.
 
 /// The min-combine acceptance step: keeps the smallest acceptance_word.
 /// Commutative + associative, hence identical for any arrival order and
@@ -253,13 +247,25 @@ inline std::size_t combine(std::uint32_t to, std::uint64_t word,
   return tsize;
 }
 
-/// Counts one shard's route pass produces: recipients touched (in-place
-/// combine only) and messages actually sent (== the sender-list size unless
-/// churn put senders to sleep).
-struct RoutePartial {
-  std::size_t touched = 0;
-  std::uint64_t sent = 0;
-};
+/// Messages per kernel block: big enough to amortize the dispatch call and
+/// keep the vector pipeline fed, small enough that the three stack buffers
+/// (~4 KiB) stay cache-resident under the pass-B scatter traffic.
+inline constexpr std::size_t kBlock = 256;
+
+/// Filters a block of send-list entries to awake senders: an asleep sender
+/// neither sends nor draws. Returns the live count.
+inline std::size_t filter_awake(const std::uint32_t* __restrict__ block,
+                                std::size_t count,
+                                const std::uint8_t* __restrict__ awake,
+                                std::uint32_t* __restrict__ live) {
+  std::size_t live_count = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::uint32_t e = block[i];
+    live[live_count] = e;
+    live_count += awake[e & kAgentMask] != 0;
+  }
+  return live_count;
+}
 
 /// Counts one shard's deliver pass produces: messages whose bit flipped and
 /// accepted messages lost to an asleep recipient.
@@ -268,89 +274,75 @@ struct DeliverPartial {
   std::uint64_t asleep_drops = 0;
 };
 
-/// Recipient policies for the route loops below. Both consume the same
-/// kRoute words (one uniform_index draw, then the caller takes the
-/// acceptance-priority word), so swapping policies never shifts any other
-/// stream — the topology's draw bound is the ONE bound the scalar, SIMD,
-/// and sharded route paths share.
-///
-/// The complete graph keeps its own policy (rather than going through
-/// ResolvedTopology::recipient) so the historical hot loop compiles to the
-/// identical branch-free body it always had.
-struct CompleteRecipient {
-  std::uint64_t draw_bound;  ///< n - 1: uniform over the other agents
-  template <typename Rng>
-  std::uint32_t operator()(Rng& rng, std::uint32_t sender) const {
-    auto to = static_cast<std::uint32_t>(uniform_index(rng, draw_bound));
-    to += (to >= sender);
-    return to;
-  }
-};
-
-/// Sparse topologies: the drawn index selects an out-neighbor; the rewired
-/// kinds additionally read the round's kTopology-lane key.
-struct GraphRecipient {
-  const ResolvedTopology* topo;
-  StreamKey topo_key;
-  template <typename Rng>
-  std::uint32_t operator()(Rng& rng, std::uint32_t sender) const {
-    return topo->recipient(rng, topo_key, sender);
-  }
-};
-
-/// Routes one shard's senders and min-combines in place (the single-shard
-/// fast path: no bucket materialization). kChurn filters asleep senders
-/// through `awake` (unused when false — the template keeps the common
-/// static-population loop branch-free).
-template <bool kChurn, typename RecipientFn>
-[[gnu::noinline]] inline RoutePartial route_combine(
-    const std::uint32_t* __restrict__ send, std::size_t nsend,
-    const RecipientFn recipient, const StreamKey rkey,
-    const std::uint8_t* __restrict__ awake,
-    std::uint64_t* __restrict__ slot, AgentId* __restrict__ tdata) {
-  RoutePartial partial;
-  std::size_t tsize = 0;
-  for (std::size_t i = 0; i < nsend; ++i) {
-    const std::uint32_t e = send[i];
-    const std::uint32_t sender = e & kAgentMask;
-    if constexpr (kChurn) {
-      if (awake[sender] == 0) continue;  // asleep: no send, no draws
-    }
-    ++partial.sent;
-    CounterRng rng(rkey, sender);
-    const std::uint32_t to = recipient(rng, sender);
-    tsize = combine(to, acceptance_word(rng(), (e & kSendBit) | sender),
-                    slot, tdata, tsize);
-  }
-  partial.touched = tsize;
-  return partial;
-}
-
-/// Routes one shard's senders into per-destination-shard buckets (the
-/// multi-shard route phase; `shard_mul` is the fastdiv reciprocal of the
-/// shard block size). Returns the number of messages sent.
-template <bool kChurn, typename RecipientFn>
-[[gnu::noinline]] inline std::uint64_t route_scatter(
-    const std::uint32_t* __restrict__ send, std::size_t nsend,
-    const RecipientFn recipient, const StreamKey rkey,
-    std::uint64_t shard_mul, const std::uint8_t* __restrict__ awake,
-    std::vector<RoutedMsg>* __restrict__ out) {
+/// Route pass B of the single-shard path: min-combines every message into
+/// its recipient's slot in place (no bucket materialization).
+struct CombineSink {
+  std::uint64_t* slot;
+  AgentId* touched;
+  std::size_t touched_count = 0;
   std::uint64_t sent = 0;
-  for (std::size_t i = 0; i < nsend; ++i) {
-    const std::uint32_t e = send[i];
-    const std::uint32_t sender = e & kAgentMask;
-    if constexpr (kChurn) {
-      if (awake[sender] == 0) continue;
-    }
-    ++sent;
-    CounterRng rng(rkey, sender);
-    const std::uint32_t to = recipient(rng, sender);
+  void push(std::uint32_t to, std::uint64_t word) {
+    touched_count = combine(to, word, slot, touched, touched_count);
+  }
+};
+
+/// Route pass B of the multi-shard path: scatters every message into its
+/// destination shard's bucket (`shard_mul` is the fastdiv reciprocal of
+/// the shard block size).
+struct ScatterSink {
+  std::vector<RoutedMsg>* out;
+  std::uint64_t shard_mul;
+  std::uint64_t sent = 0;
+  void push(std::uint32_t to, std::uint64_t word) const {
     const auto dst = static_cast<std::size_t>(
         (static_cast<unsigned __int128>(to) * shard_mul) >> 64);
-    out[dst].push_back(
-        RoutedMsg{acceptance_word(rng(), (e & kSendBit) | sender), to});
+    out[dst].push_back(RoutedMsg{word, to});
   }
-  return sent;
+};
+
+/// Routes one shard's senders into `sink` and returns it, with `sent` the
+/// number of messages sent (the sender-list size unless churn put senders
+/// to sleep). kChurn filters asleep senders through `awake` (unused when
+/// false — the template keeps the static-population loop branch-free).
+///
+/// The kernel draws over the topology's draw bound (n - 1 on the complete
+/// graph, the out-degree on sparse ones) and self-skips: it maps the drawn
+/// index j in [0, bound) to j + (j >= sender), a bijection onto
+/// [0, bound] \ {sender}. On the complete graph that IS the recipient; on
+/// a sparse graph to - (to > sender) recovers j exactly, and the neighbor
+/// map turns it into the recipient ResolvedTopology::recipient() draws.
+template <bool kChurn, typename Sink>
+[[gnu::noinline]] inline Sink route(const simd::Kernels& kernels,
+                                    const std::uint32_t* __restrict__ send,
+                                    std::size_t nsend, const StreamKey rkey,
+                                    const ResolvedTopology& topo,
+                                    const StreamKey topo_key,
+                                    const std::uint8_t* __restrict__ awake,
+                                    Sink sink) {
+  std::uint32_t live[kBlock];
+  std::uint32_t to_buf[kBlock];
+  std::uint64_t word_buf[kBlock];
+  for (std::size_t base = 0; base < nsend; base += kBlock) {
+    const std::size_t take = std::min(kBlock, nsend - base);
+    const std::uint32_t* block = send + base;
+    std::size_t count = take;
+    if constexpr (kChurn) {
+      count = filter_awake(block, take, awake, live);
+      block = live;
+    }
+    kernels.route_block(rkey.hi, rkey.lo, block, count, topo.draw_bound(),
+                        to_buf, word_buf);
+    if (!topo.complete()) {
+      for (std::size_t i = 0; i < count; ++i) {
+        const std::uint32_t sender = block[i] & kAgentMask;
+        const std::uint32_t to = to_buf[i];
+        to_buf[i] = topo.neighbor(topo_key, sender, to - (to > sender));
+      }
+    }
+    for (std::size_t i = 0; i < count; ++i) sink.push(to_buf[i], word_buf[i]);
+    sink.sent += count;
+  }
+  return sink;
 }
 
 /// Min-combines one inbound bucket into a destination shard's slots.
@@ -365,87 +357,24 @@ template <bool kChurn, typename RecipientFn>
   return tsize;
 }
 
-/// Delivers one Stage II round for one shard's touched recipients: clears
-/// each meta slot, applies the recipient-keyed channel flip, and bumps the
-/// packed recv/ones/prefix counters. Under kChurn an asleep recipient's
-/// accepted message is discarded (no draw, no counter bump) and counted as
-/// an asleep drop.
-template <bool kChurn, typename FlipFn>
-[[gnu::noinline]] inline DeliverPartial deliver_stage2(
-    const AgentId* __restrict__ tdata, std::size_t tsize,
-    const StreamKey ckey, std::uint64_t threshold,
-    const std::uint8_t* __restrict__ awake,
-    std::uint64_t* __restrict__ slot, std::uint64_t* __restrict__ acc,
-    FlipFn flips) {
-  DeliverPartial partial;
-  for (std::size_t i = 0; i < tsize; ++i) {
-    if (i + 16 < tsize) {
-      __builtin_prefetch(&slot[tdata[i + 16]], 1);
-      __builtin_prefetch(&acc[tdata[i + 16]], 1);
-    }
-    const AgentId to = tdata[i];
-    const std::uint64_t m = slot[to];
-    slot[to] = kEmptySlot;
-    if constexpr (kChurn) {
-      if (awake[to] == 0) {
-        ++partial.asleep_drops;
-        continue;
-      }
-    }
-    const bool sent_one = (m & kSendBit) != 0;
-    CounterRng rng(ckey, to);
-    const bool flip = flips(rng);
-    partial.flipped += flip;
-    std::uint64_t w = acc[to] + 1;  // ++recv
-    if (sent_one != flip) {
-      w += (std::uint64_t{1} << kOnesShift) +
-           ((w & kFieldMask) <= threshold ? (std::uint64_t{1} << kPrefixShift)
-                                          : 0);
-    }
-    acc[to] = w;
-  }
-  return partial;
-}
-
-/// Delivers one Stage I round for one shard's touched recipients: churn
-/// filter, channel flip, then the protocol's activation bookkeeping and
-/// (under the uniform pick rule) the keyed reservoir decision.
-template <bool kChurn, typename FlipFn>
-[[gnu::noinline]] inline DeliverPartial deliver_stage1(
-    const AgentId* __restrict__ tdata, std::size_t tsize,
-    const StreamKey ckey, const StreamKey pkey, bool uniform_pick,
-    const std::uint8_t* __restrict__ has_opinion,
-    const std::uint8_t* __restrict__ awake,
-    std::uint64_t* __restrict__ slot, std::uint64_t* __restrict__ acc,
-    std::vector<AgentId>& activation, FlipFn flips) {
-  DeliverPartial partial;
-  for (std::size_t i = 0; i < tsize; ++i) {
-    if (i + 16 < tsize) {
-      __builtin_prefetch(&slot[tdata[i + 16]], 1);
-      __builtin_prefetch(&acc[tdata[i + 16]], 1);
-    }
-    const AgentId to = tdata[i];
-    const std::uint64_t m = slot[to];
-    slot[to] = kEmptySlot;
-    if constexpr (kChurn) {
-      if (awake[to] == 0) {
-        ++partial.asleep_drops;
-        continue;
-      }
-    }
-    const bool sent_one = (m & kSendBit) != 0;
-    CounterRng rng(ckey, to);
-    const bool flip = flips(rng);
-    partial.flipped += flip;
-    const bool seen_one = sent_one != flip;
-    if (has_opinion[to]) continue;  // Stage I ignores opinionated agents
+/// Deliver pass B of a Stage I round: the protocol's activation
+/// bookkeeping and (under the uniform pick rule) the keyed reservoir
+/// decision — the same decision BreatheProtocol::deliver makes from the
+/// same (round, agent, kProtocol) stream. Opinionated agents ignore
+/// Stage I arrivals.
+struct Stage1Update {
+  StreamKey pkey;
+  bool uniform_pick;
+  const std::uint8_t* has_opinion;
+  std::vector<AgentId>* activation;
+  void operator()(std::uint64_t* __restrict__ acc, AgentId to,
+                  bool seen_one) const {
+    if (has_opinion[to]) return;
     const std::uint64_t v = acc[to];
     const std::uint64_t recv = (v & kS1RecvMask) + 1;
-    if (recv == 1) activation.push_back(to);
+    if (recv == 1) activation->push_back(to);
     std::uint64_t kept;
     if (uniform_pick) {
-      // Same decision BreatheProtocol::deliver makes from the same
-      // (round, agent, kProtocol) stream.
       CounterRng prng(pkey, to);
       kept = (recv == 1 || uniform_index(prng, recv) == 0)
                  ? static_cast<std::uint64_t>(seen_one)
@@ -456,130 +385,52 @@ template <bool kChurn, typename FlipFn>
     }
     acc[to] = recv | (kept << kKeptShift);
   }
-  return partial;
-}
+};
 
-// --------------------------------------------------------------------------
-// SIMD-blocked twins of the four phase loops above. Each splits its loop at
-// the dispatch seam (src/simd/simd.hpp): pass A batches the pure-arithmetic
-// RNG replay (recipient draw + acceptance priority, or the channel flip)
-// through the active block kernel into small stack buffers; pass B is the
-// unchanged memory-irregular remainder (scatter, min-combine, counter
-// packing), consuming one precomputed lane per message. Because every draw
-// is a pure function of (key, agent) — never of which other draws happened —
-// precomputing a draw the churn filter then discards changes nothing, and
-// the twins are bit-identical to the scalar loops by construction. The
-// scalar loops above stay as compiled ground truth; run_breathe picks a
-// twin only when simd::enabled().
-
-/// Entries per kernel block: big enough to amortize the dispatch call and
-/// keep the vector pipeline fed, small enough that the three stack buffers
-/// (~4 KiB) stay cache-resident under the pass-B scatter traffic.
-inline constexpr std::size_t kSimdBlock = 256;
-
-/// Filters a block of send-list entries to awake senders (the same
-/// pre-draw filter the scalar loops apply). Returns the live count.
-inline std::size_t filter_awake(const std::uint32_t* __restrict__ block,
-                                std::size_t count,
-                                const std::uint8_t* __restrict__ awake,
-                                std::uint32_t* __restrict__ live) {
-  std::size_t live_count = 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::uint32_t e = block[i];
-    live[live_count] = e;
-    live_count += awake[e & kAgentMask] != 0;
+/// Deliver pass B of a Stage II round: bumps the packed recv / ones /
+/// prefix-ones counters (`threshold` is the phase's prefix half-length).
+struct Stage2Update {
+  std::uint64_t threshold;
+  void operator()(std::uint64_t* __restrict__ acc, AgentId to,
+                  bool seen_one) const {
+    std::uint64_t w = acc[to] + 1;  // ++recv
+    if (seen_one) {
+      w += (std::uint64_t{1} << kOnesShift) +
+           ((w & kFieldMask) <= threshold ? (std::uint64_t{1} << kPrefixShift)
+                                          : 0);
+    }
+    acc[to] = w;
   }
-  return live_count;
-}
+};
 
-/// route_combine, SIMD-blocked (single-shard fast path). `draw_bound` is
-/// the topology's recipient draw bound; the kernels implement the complete
-/// graph only (self-skip baked in), so run_breathe routes sparse topologies
-/// through the scalar loops — draw_bound always equals n - 1 here.
-template <bool kChurn>
-[[gnu::noinline]] inline RoutePartial route_combine_simd(
-    const std::uint32_t* __restrict__ send, std::size_t nsend,
-    std::uint64_t draw_bound, const StreamKey rkey,
-    const std::uint8_t* __restrict__ awake,
-    std::uint64_t* __restrict__ slot, AgentId* __restrict__ tdata) {
-  const simd::Kernels kernels = simd::active();
-  RoutePartial partial;
-  std::size_t tsize = 0;
-  std::uint32_t live[kSimdBlock];
-  std::uint32_t to_buf[kSimdBlock];
-  std::uint64_t word_buf[kSimdBlock];
-  for (std::size_t base = 0; base < nsend; base += kSimdBlock) {
-    const std::size_t take = std::min(kSimdBlock, nsend - base);
-    const std::uint32_t* block = send + base;
-    std::size_t count = take;
-    if constexpr (kChurn) {
-      count = filter_awake(block, take, awake, live);
-      block = live;
-    }
-    kernels.route_block(rkey.hi, rkey.lo, block, count, draw_bound, to_buf,
-                        word_buf);
-    for (std::size_t i = 0; i < count; ++i) {
-      tsize = combine(to_buf[i], word_buf[i], slot, tdata, tsize);
-    }
-    partial.sent += count;
-  }
-  partial.touched = tsize;
-  return partial;
-}
-
-/// route_scatter, SIMD-blocked (multi-shard route phase). Same complete-
-/// graph-only draw_bound contract as route_combine_simd.
-template <bool kChurn>
-[[gnu::noinline]] inline std::uint64_t route_scatter_simd(
-    const std::uint32_t* __restrict__ send, std::size_t nsend,
-    std::uint64_t draw_bound, const StreamKey rkey, std::uint64_t shard_mul,
-    const std::uint8_t* __restrict__ awake,
-    std::vector<RoutedMsg>* __restrict__ out) {
-  const simd::Kernels kernels = simd::active();
-  std::uint64_t sent = 0;
-  std::uint32_t live[kSimdBlock];
-  std::uint32_t to_buf[kSimdBlock];
-  std::uint64_t word_buf[kSimdBlock];
-  for (std::size_t base = 0; base < nsend; base += kSimdBlock) {
-    const std::size_t take = std::min(kSimdBlock, nsend - base);
-    const std::uint32_t* block = send + base;
-    std::size_t count = take;
-    if constexpr (kChurn) {
-      count = filter_awake(block, take, awake, live);
-      block = live;
-    }
-    kernels.route_block(rkey.hi, rkey.lo, block, count, draw_bound, to_buf,
-                        word_buf);
-    for (std::size_t i = 0; i < count; ++i) {
-      const std::uint32_t to = to_buf[i];
-      const auto dst = static_cast<std::size_t>(
-          (static_cast<unsigned __int128>(to) * shard_mul) >> 64);
-      out[dst].push_back(RoutedMsg{word_buf[i], to});
-    }
-    sent += count;
-  }
-  return sent;
-}
-
-/// deliver_stage2 with the channel flip batched through the flip kernel.
-/// `flip_threshold` is the round's integer threshold (the kIntegerThreshold
-/// functors' member). Flips are precomputed for every touched recipient;
-/// under kChurn an asleep recipient's lane is simply never read — its slot
-/// clear and asleep-drop count happen in pass B exactly as in the scalar
-/// loop.
-template <bool kChurn>
-[[gnu::noinline]] inline DeliverPartial deliver_stage2_simd(
+/// Delivers one round for one shard's touched recipients: clears each
+/// meta slot, applies the recipient-keyed channel flip, and hands the
+/// observed bit to the stage's `update`. Under kChurn an asleep
+/// recipient's accepted message is discarded (its flip lane is never read,
+/// no counter bump) and counted as an asleep drop.
+///
+/// Pass A fills the flip lanes: the flip kernel for the integer-threshold
+/// functors, a plain per-recipient loop for HeterogeneousFlip, whose flip
+/// probability is data-dependent.
+template <bool kChurn, typename FlipFn, typename Update>
+[[gnu::noinline]] inline DeliverPartial deliver(
+    const simd::Kernels& kernels, const FlipFn flips, const StreamKey ckey,
     const AgentId* __restrict__ tdata, std::size_t tsize,
-    const StreamKey ckey, std::uint64_t threshold,
-    std::uint64_t flip_threshold, const std::uint8_t* __restrict__ awake,
-    std::uint64_t* __restrict__ slot, std::uint64_t* __restrict__ acc) {
-  const simd::Kernels kernels = simd::active();
+    const std::uint8_t* __restrict__ awake, std::uint64_t* __restrict__ slot,
+    std::uint64_t* __restrict__ acc, const Update update) {
   DeliverPartial partial;
-  std::uint8_t flip_buf[kSimdBlock];
-  for (std::size_t base = 0; base < tsize; base += kSimdBlock) {
-    const std::size_t take = std::min(kSimdBlock, tsize - base);
-    kernels.flip_block(ckey.hi, ckey.lo, tdata + base, take, flip_threshold,
-                       flip_buf);
+  std::uint8_t flip_buf[kBlock];
+  for (std::size_t base = 0; base < tsize; base += kBlock) {
+    const std::size_t take = std::min(kBlock, tsize - base);
+    if constexpr (FlipFn::kIntegerThreshold) {
+      kernels.flip_block(ckey.hi, ckey.lo, tdata + base, take,
+                         flips.threshold, flip_buf);
+    } else {
+      for (std::size_t j = 0; j < take; ++j) {
+        CounterRng rng(ckey, tdata[base + j]);
+        flip_buf[j] = flips(rng) ? 1 : 0;
+      }
+    }
     for (std::size_t j = 0; j < take; ++j) {
       const std::size_t i = base + j;
       if (i + 16 < tsize) {
@@ -595,76 +446,9 @@ template <bool kChurn>
           continue;
         }
       }
-      const bool sent_one = (m & kSendBit) != 0;
       const bool flip = flip_buf[j] != 0;
       partial.flipped += flip;
-      std::uint64_t w = acc[to] + 1;  // ++recv
-      if (sent_one != flip) {
-        w += (std::uint64_t{1} << kOnesShift) +
-             ((w & kFieldMask) <= threshold
-                  ? (std::uint64_t{1} << kPrefixShift)
-                  : 0);
-      }
-      acc[to] = w;
-    }
-  }
-  return partial;
-}
-
-/// deliver_stage1 with the channel flip batched through the flip kernel.
-/// The protocol-side reservoir draw (kProtocol stream) stays scalar in
-/// pass B: it only fires for unopinionated recipients under the uniform
-/// pick rule, and its stream is independent of the channel stream.
-template <bool kChurn>
-[[gnu::noinline]] inline DeliverPartial deliver_stage1_simd(
-    const AgentId* __restrict__ tdata, std::size_t tsize,
-    const StreamKey ckey, const StreamKey pkey, bool uniform_pick,
-    std::uint64_t flip_threshold,
-    const std::uint8_t* __restrict__ has_opinion,
-    const std::uint8_t* __restrict__ awake,
-    std::uint64_t* __restrict__ slot, std::uint64_t* __restrict__ acc,
-    std::vector<AgentId>& activation) {
-  const simd::Kernels kernels = simd::active();
-  DeliverPartial partial;
-  std::uint8_t flip_buf[kSimdBlock];
-  for (std::size_t base = 0; base < tsize; base += kSimdBlock) {
-    const std::size_t take = std::min(kSimdBlock, tsize - base);
-    kernels.flip_block(ckey.hi, ckey.lo, tdata + base, take, flip_threshold,
-                       flip_buf);
-    for (std::size_t j = 0; j < take; ++j) {
-      const std::size_t i = base + j;
-      if (i + 16 < tsize) {
-        __builtin_prefetch(&slot[tdata[i + 16]], 1);
-        __builtin_prefetch(&acc[tdata[i + 16]], 1);
-      }
-      const AgentId to = tdata[i];
-      const std::uint64_t m = slot[to];
-      slot[to] = kEmptySlot;
-      if constexpr (kChurn) {
-        if (awake[to] == 0) {
-          ++partial.asleep_drops;
-          continue;
-        }
-      }
-      const bool sent_one = (m & kSendBit) != 0;
-      const bool flip = flip_buf[j] != 0;
-      partial.flipped += flip;
-      const bool seen_one = sent_one != flip;
-      if (has_opinion[to]) continue;  // Stage I ignores opinionated agents
-      const std::uint64_t v = acc[to];
-      const std::uint64_t recv = (v & kS1RecvMask) + 1;
-      if (recv == 1) activation.push_back(to);
-      std::uint64_t kept;
-      if (uniform_pick) {
-        CounterRng prng(pkey, to);
-        kept = (recv == 1 || uniform_index(prng, recv) == 0)
-                   ? static_cast<std::uint64_t>(seen_one)
-                   : (v >> kKeptShift);
-      } else {
-        kept = recv == 1 ? static_cast<std::uint64_t>(seen_one)
-                         : (v >> kKeptShift);
-      }
-      acc[to] = recv | (kept << kKeptShift);
+      update(acc, to, ((m & kSendBit) != 0) != flip);
     }
   }
   return partial;
@@ -694,97 +478,15 @@ class BatchEngine {
                                           const BreatheConfig& config,
                                           bool stage1_only);
 
-  /// Statically dispatched replica of Engine::run for population n: same
-  /// counter-keyed draws, identical Metrics — but with `protocol` and
-  /// `channel` as concrete types every per-message call inlines, and the
-  /// mailbox/send buffers reused across calls.
+  /// Engine::run for population n — the same round loop (run_rounds),
+  /// hence the same counter-keyed draws and identical Metrics — with
+  /// `protocol` and `channel` as concrete types every per-message call
+  /// inlines, and the mailbox/send/liveness buffers reused across calls.
   template <FlipProtocolT P, typename C>
   Metrics run(std::size_t n, P& protocol, C& channel, const StreamKey& key,
               Round max_rounds, EngineOptions options = {}) {
-    mailbox_.reuse(n);
-    send_buffer_.clear();
-    if (send_buffer_.capacity() < n) send_buffer_.reserve(n);
-
-    const ResolvedTopology topo =
-        ResolvedTopology::resolve(options.topology, n);
-    const ChurnSpec& churn = options.churn;
-    const bool churn_on = churn.enabled();
-    if (churn_on) {
-      awake_.assign(n, 1);
-      if (churn.start_asleep > 0.0) {
-        for (AgentId a = 0; a < n; ++a) {
-          if (churn_starts_asleep(churn, key, a)) awake_[a] = 0;
-        }
-      }
-    }
-
-    Metrics metrics;
-    for (Round r = 0; r < max_rounds; ++r) {
-      send_buffer_.clear();
-      protocol.collect_sends(r, send_buffer_);
-
-      // Round-scoped environment events, exactly as in Engine::run: churn
-      // transitions, then the channel's round state.
-      if (churn_on) {
-        const StreamKey churn_key =
-            round_stream_key(key, RngPurpose::kChurn, r);
-        for (AgentId a = 0; a < n; ++a) {
-          awake_[a] =
-              churn_step(churn, churn_key, a, awake_[a] != 0) ? 1 : 0;
-        }
-      }
-      channel.begin_round(key, r);
-
-      mailbox_.reset();
-      const StreamKey route_key = round_stream_key(key, RngPurpose::kRoute, r);
-      const StreamKey topo_key =
-          topo.keyed() ? topo.round_key(key, r) : StreamKey{};
-      std::uint64_t sent = 0;
-      for (const Message& msg : send_buffer_) {
-        if (msg.sender >= mailbox_.population()) {
-          throw std::out_of_range("BatchEngine: sender id out of range");
-        }
-        if (churn_on && awake_[msg.sender] == 0) continue;
-        ++sent;
-        CounterRng rng(route_key, msg.sender);
-        const AgentId to = topo.recipient(rng, topo_key, msg.sender);
-        mailbox_.offer(to, msg.sender, msg.bit,
-                       acceptance_word(rng(), msg.bit, msg.sender));
-      }
-      metrics.messages_sent += sent;
-
-      const StreamKey channel_key =
-          round_stream_key(key, RngPurpose::kChannel, r);
-      for (AgentId to : mailbox_.recipients()) {
-        if (churn_on && awake_[to] == 0) {
-          ++metrics.dropped;
-          continue;
-        }
-        const Message& msg = mailbox_.accepted(to);
-        CounterRng rng(channel_key, to);
-        const std::optional<Opinion> seen = channel.transmit(msg.bit, rng);
-        if (!seen) {
-          ++metrics.erased;
-          continue;
-        }
-        if (*seen != msg.bit) ++metrics.flipped;
-        ++metrics.delivered;
-        protocol.deliver(to, *seen, r);
-      }
-      metrics.dropped += mailbox_.dropped_this_round();
-
-      protocol.end_round(r);
-      metrics.rounds = r + 1;
-
-      if (options.probe_every != 0 && r % options.probe_every == 0) {
-        metrics.bias_series.push_back({r, protocol.current_bias()});
-        metrics.activated_series.push_back(
-            {r, static_cast<double>(protocol.current_opinionated())});
-      }
-
-      if (protocol.done(r)) break;
-    }
-    return metrics;
+    generic_.mailbox.reuse(n);
+    return run_rounds(generic_, protocol, channel, key, options, max_rounds);
   }
 
   /// The sharded SoA fast path for the two-stage breathe protocol. Runs one
@@ -826,21 +528,13 @@ class BatchEngine {
 
     const std::size_t n = params.n();
     const ResolvedTopology& topo = topo_;
-    const bool topo_complete = topo.complete();
-    // The one recipient draw bound every route path shares: n - 1 on the
-    // complete graph, the out-degree on sparse topologies.
-    const std::uint64_t draw_bound = topo.draw_bound();
     const bool uniform_pick =
         config.stage1_pick == Stage1Pick::kUniformMessage;
     auto flips = detail::make_flip(channel);
-    // The SIMD dispatch seam: when this build compiled vector kernels and
-    // the active set is one (src/simd/simd.hpp), the round phases run the
-    // blocked twins; results are bit-identical either way, so this is a
-    // pure wall-clock decision. kCompiled folds the whole branch out of
-    // FLIP_SIMD=OFF builds. The route kernels implement the complete graph
-    // only, so sparse topologies legitimately fall back to the scalar
-    // route loops (deliver still vectorizes — it is topology-blind).
-    const bool use_simd = simd::kCompiled && simd::enabled() && topo_complete;
+    // The block kernels every phase draws through (src/simd/simd.hpp):
+    // the best vector set this build and machine run, or the scalar set.
+    // Results are bit-identical for every set.
+    const simd::Kernels& kernels = simd::active();
     const std::size_t shards = shards_;
     const ChurnSpec& churn = options.engine.churn;
     const bool churn_on = churn.enabled();
@@ -902,45 +596,28 @@ class BatchEngine {
       // multiple shards scatter into per-destination buckets.
       for_each_shard([&](std::size_t s) {
         ShardScratch& sh = shard_[s];
-        // One statement of each argument list; the bool_constant picks the
-        // churn-filtered or branch-free loop instantiation, the recipient
-        // policy the complete-graph or neighbor-set draw (use_simd is
-        // false whenever the policy is GraphRecipient, so the kernel calls
-        // only ever see the complete graph's draw_bound).
-        const auto route = [&](auto churn_c, const auto recipient) {
+        // The bool_constant picks the churn-filtered or branch-free loop.
+        const auto route = [&](auto churn_c) {
           constexpr bool kChurn = decltype(churn_c)::value;
           if (shards == 1) {
-            const detail::RoutePartial partial =
-                use_simd ? detail::route_combine_simd<kChurn>(
-                               sh.send.data(), sh.send.size(), draw_bound,
-                               route_key, awake, slot, sh.touched.data())
-                         : detail::route_combine<kChurn>(
-                               sh.send.data(), sh.send.size(), recipient,
-                               route_key, awake, slot, sh.touched.data());
-            sh.touched_count = partial.touched;
-            sh.sent = partial.sent;
+            const detail::CombineSink done = detail::route<kChurn>(
+                kernels, sh.send.data(), sh.send.size(), route_key, topo,
+                topo_key, awake,
+                detail::CombineSink{slot, sh.touched.data()});
+            sh.touched_count = done.touched_count;
+            sh.sent = done.sent;
           } else {
-            sh.sent = use_simd ? detail::route_scatter_simd<kChurn>(
-                                     sh.send.data(), sh.send.size(),
-                                     draw_bound, route_key, shard_mul_,
-                                     awake, sh.out.data())
-                               : detail::route_scatter<kChurn>(
-                                     sh.send.data(), sh.send.size(),
-                                     recipient, route_key, shard_mul_,
-                                     awake, sh.out.data());
+            sh.sent = detail::route<kChurn>(
+                          kernels, sh.send.data(), sh.send.size(), route_key,
+                          topo, topo_key, awake,
+                          detail::ScatterSink{sh.out.data(), shard_mul_})
+                          .sent;
           }
         };
-        const auto route_dispatch = [&](const auto recipient) {
-          if (churn_on) {
-            route(std::true_type{}, recipient);
-          } else {
-            route(std::false_type{}, recipient);
-          }
-        };
-        if (topo_complete) {
-          route_dispatch(detail::CompleteRecipient{draw_bound});
+        if (churn_on) {
+          route(std::true_type{});
         } else {
-          route_dispatch(detail::GraphRecipient{&topo, topo_key});
+          route(std::false_type{});
         }
       });
 
@@ -962,32 +639,18 @@ class BatchEngine {
 
         const auto deliver = [&](auto churn_c) -> detail::DeliverPartial {
           constexpr bool kChurn = decltype(churn_c)::value;
-          // The flip kernel handles exactly the integer-threshold functors;
-          // HeterogeneousFlip (kIntegerThreshold == false) keeps the scalar
-          // deliver loop on every build.
-          if constexpr (std::remove_cvref_t<decltype(flips)>::
-                            kIntegerThreshold) {
-            if (use_simd) {
-              return in_s1 ? detail::deliver_stage1_simd<kChurn>(
-                                 sh.touched.data(), sh.touched_count,
-                                 channel_key, protocol_key, uniform_pick,
-                                 flips.threshold, pop_.has_opinion_data(),
-                                 awake, slot, acc, sh.activation)
-                           : detail::deliver_stage2_simd<kChurn>(
-                                 sh.touched.data(), sh.touched_count,
-                                 channel_key, threshold, flips.threshold,
-                                 awake, slot, acc);
-            }
+          if (in_s1) {
+            return detail::deliver<kChurn>(
+                kernels, flips, channel_key, sh.touched.data(),
+                sh.touched_count, awake, slot, acc,
+                detail::Stage1Update{protocol_key, uniform_pick,
+                                     pop_.has_opinion_data(),
+                                     &sh.activation});
           }
-          return in_s1 ? detail::deliver_stage1<kChurn>(
-                             sh.touched.data(), sh.touched_count,
-                             channel_key, protocol_key, uniform_pick,
-                             pop_.has_opinion_data(), awake, slot, acc,
-                             sh.activation, flips)
-                       : detail::deliver_stage2<kChurn>(
-                             sh.touched.data(), sh.touched_count,
-                             channel_key, threshold, awake, slot, acc,
-                             flips);
+          return detail::deliver<kChurn>(
+              kernels, flips, channel_key, sh.touched.data(),
+              sh.touched_count, awake, slot, acc,
+              detail::Stage2Update{threshold});
         };
         const detail::DeliverPartial partial = churn_on
                                                    ? deliver(std::true_type{})
@@ -1105,10 +768,7 @@ class BatchEngine {
                        const StageTwoSchedule& s2,
                        std::vector<StageTwoPhaseStats>& out);
 
-  // Generic-path scratch.
-  Mailbox mailbox_{2};
-  std::vector<Message> send_buffer_;
-  std::vector<std::uint8_t> awake_;  ///< generic-path churn liveness
+  RoundScratch generic_;  ///< run()'s mailbox, send buffer and liveness
 
   // Breathe fast-path scratch (structure-of-arrays, persistent).
   Population pop_{2};

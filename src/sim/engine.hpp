@@ -22,7 +22,9 @@
 // minimum (priority, sender) pair — a commutative reduction, uniform among
 // arrivals — instead of order-dependent reservoir sampling.
 
+#include <concepts>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -91,6 +93,142 @@ struct EngineOptions {
   TopologySpec topology{};
 };
 
+/// Compile-time shape of a Flip-model protocol: everything the round loop
+/// calls, without requiring inheritance from Protocol. Every Protocol
+/// subclass satisfies it, and so does Protocol itself: run_rounds below
+/// dispatches virtually when handed the interface and statically (every
+/// per-message call inlined) when handed a concrete `final` type.
+template <typename P>
+concept FlipProtocolT = requires(P p, const P cp, Round r, AgentId a,
+                                 Opinion o, std::vector<Message>& out) {
+  { p.collect_sends(r, out) };
+  { p.deliver(a, o, r) };
+  { p.end_round(r) };
+  { cp.done(r) } -> std::convertible_to<bool>;
+  { cp.current_bias() } -> std::convertible_to<double>;
+  { cp.current_opinionated() } -> std::convertible_to<std::size_t>;
+};
+
+/// Buffers the round loop reuses across runs: the mailbox (its population
+/// is the run's n), the collect_sends buffer, and the per-agent liveness
+/// bytes under churn.
+struct RoundScratch {
+  Mailbox mailbox{2};
+  std::vector<Message> sends;
+  std::vector<std::uint8_t> awake;
+};
+
+/// The Flip-model round loop, once for every exact generic substrate: the
+/// classic Engine instantiates it with Protocol& / NoiseChannel& (virtual
+/// calls), BatchEngine::run with the concrete protocol and channel types.
+/// Runs `protocol` over scratch.mailbox.population() agents until it
+/// reports done() or `max_rounds` elapses.
+template <FlipProtocolT P, typename C>
+Metrics run_rounds(RoundScratch& scratch, P& protocol, C& channel,
+                   const StreamKey& key, const EngineOptions& options,
+                   Round max_rounds) {
+  Mailbox& mailbox = scratch.mailbox;
+  std::vector<Message>& sends = scratch.sends;
+  std::vector<std::uint8_t>& awake = scratch.awake;
+  const std::size_t n = mailbox.population();
+  if (sends.capacity() < n) sends.reserve(n);
+
+  Metrics metrics;
+  const ResolvedTopology topo = ResolvedTopology::resolve(options.topology, n);
+  const ChurnSpec& churn = options.churn;
+  const bool churn_on = churn.enabled();
+  if (churn_on) {
+    awake.assign(n, 1);
+    if (churn.start_asleep > 0.0) {
+      for (AgentId a = 0; a < n; ++a) {
+        if (churn_starts_asleep(churn, key, a)) awake[a] = 0;
+      }
+    }
+  }
+  for (Round r = 0; r < max_rounds; ++r) {
+    sends.clear();
+    protocol.collect_sends(r, sends);
+
+    // Round-scoped environment events first: liveness transitions (one
+    // keyed draw per agent) and the channel's round state (the burst
+    // lottery). Both are pure functions of (trial key, round, agent), so
+    // the sharded breathe engine replays them identically.
+    if (churn_on) {
+      const StreamKey churn_key = round_stream_key(key, RngPurpose::kChurn, r);
+      for (AgentId a = 0; a < n; ++a) {
+        awake[a] = churn_step(churn, churn_key, a, awake[a] != 0) ? 1 : 0;
+      }
+    }
+    channel.begin_round(key, r);
+
+    mailbox.reset();
+    const StreamKey route_key = round_stream_key(key, RngPurpose::kRoute, r);
+    // The rewired topologies read the kTopology lane; the others ignore the
+    // key entirely (and complete skips neighbor lookup altogether inside
+    // recipient()).
+    const StreamKey topo_key =
+        topo.keyed() ? topo.round_key(key, r) : StreamKey{};
+    std::uint64_t sent = 0;
+    for (const Message& msg : sends) {
+      if (msg.sender >= n) {
+        throw std::out_of_range("Engine: sender id out of range");
+      }
+      // An asleep sender's message never leaves it: unrouted, uncounted,
+      // and no kRoute draws consumed (the stream is per-agent, so skipping
+      // shifts nobody else's draws).
+      if (churn_on && awake[msg.sender] == 0) continue;
+      ++sent;
+      // The sender's stream: word 0.. the recipient index (uniform over
+      // its out-neighbors — the n-1 other agents on the complete graph),
+      // next word the acceptance priority.
+      CounterRng rng(route_key, msg.sender);
+      const AgentId to = topo.recipient(rng, topo_key, msg.sender);
+      mailbox.offer(to, msg.sender, msg.bit,
+                    acceptance_word(rng(), msg.bit, msg.sender));
+    }
+    metrics.messages_sent += sent;
+
+    // Noise is applied to the accepted message only: flips are independent
+    // per message and dropped messages are never observed, so flipping after
+    // acceptance is distributionally identical to flipping each arrival
+    // (and much cheaper). The draw comes from the RECIPIENT's kChannel
+    // stream, so it does not depend on which sender won acceptance.
+    const StreamKey channel_key =
+        round_stream_key(key, RngPurpose::kChannel, r);
+    for (AgentId to : mailbox.recipients()) {
+      // An asleep recipient loses its accepted message (a drop, like a
+      // collision); no kChannel draw is made on its behalf.
+      if (churn_on && awake[to] == 0) {
+        ++metrics.dropped;
+        continue;
+      }
+      const Message& msg = mailbox.accepted(to);
+      CounterRng rng(channel_key, to);
+      const std::optional<Opinion> seen = channel.transmit(msg.bit, rng);
+      if (!seen) {
+        ++metrics.erased;
+        continue;
+      }
+      if (*seen != msg.bit) ++metrics.flipped;
+      ++metrics.delivered;
+      protocol.deliver(to, *seen, r);
+    }
+    metrics.dropped += mailbox.dropped_this_round();
+
+    protocol.end_round(r);
+    metrics.rounds = r + 1;
+
+    if (options.probe_every != 0 && r % options.probe_every == 0) {
+      metrics.bias_series.push_back({r, protocol.current_bias()});
+      metrics.activated_series.push_back(
+          {r, static_cast<double>(protocol.current_opinionated())});
+    }
+
+    if (protocol.done(r)) break;
+  }
+  return metrics;
+}
+
 /// Which simulation substrate a workload runs on. kBatch is the
 /// statically-dispatched fast path (sim/batch_engine.hpp); both exact
 /// substrates draw from the same counter-keyed per-agent streams, so the
@@ -139,19 +277,14 @@ class Engine {
   Metrics run(Protocol& protocol, Round max_rounds);
 
   [[nodiscard]] std::size_t population() const noexcept {
-    return mailbox_.population();
+    return scratch_.mailbox.population();
   }
 
  private:
-  Mailbox mailbox_;
+  RoundScratch scratch_;
   NoiseChannel& channel_;
   StreamKey key_;
   EngineOptions options_;
-  std::vector<Message> send_buffer_;
-  /// Per-agent liveness under churn (unused when churn is disabled). The
-  /// sharded engine keeps the same state in its Population; here a flat
-  /// byte array suffices — the reference loop is sequential.
-  std::vector<std::uint8_t> awake_;
 };
 
 }  // namespace flip

@@ -89,8 +89,6 @@ void reset_isa() noexcept {
   g_active.store(&best_kernels(), std::memory_order_release);
 }
 
-bool enabled() noexcept { return active().isa != Isa::kScalar; }
-
 #else  // !FLIP_SIMD_ENABLED
 
 Isa best_isa() noexcept { return Isa::kScalar; }

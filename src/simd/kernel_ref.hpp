@@ -1,10 +1,11 @@
 #pragma once
-// Per-lane scalar reference for the SIMD block kernels — the exactness
-// anchor every vector path defers to. kernels_scalar.cpp loops over these;
-// the AVX2/NEON kernels call them for block tails and for the rare Lemire
-// rejection lanes (see route_one_ref). Kept in one header so the scalar
-// kernel, the vector fallback lanes, and the tests all replay the very
-// same CounterRng sequence as sim/batch_engine.hpp's route/deliver loops.
+// Per-lane scalar reference for the block kernels — the exactness anchor
+// every vector path defers to. kernels_scalar.cpp (the set the engine runs
+// when no vector set is available) loops over these; the AVX2/AVX-512/NEON
+// kernels call them for block tails and for the rare Lemire rejection
+// lanes (see route_one_ref). Kept in one header so the scalar kernel and
+// the vector fallback lanes replay the very same CounterRng sequence as
+// the classic Engine's route and channel draws.
 
 #include <cstdint>
 
@@ -13,10 +14,11 @@
 
 namespace flip::simd {
 
-/// One sender's route draws, exactly as detail::route_combine /
-/// route_scatter perform them: recipient via Lemire's unbiased
-/// uniform_index (draw 1, with rejection redraws), self-skip shift, then
-/// the acceptance priority (next draw) composed over the packed entry.
+/// One sender's route draws, exactly as ResolvedTopology::recipient and
+/// acceptance_word perform them on the complete graph: recipient index via
+/// Lemire's unbiased uniform_index (draw 1, with rejection redraws),
+/// self-skip shift, then the acceptance priority (next draw) composed over
+/// the packed entry.
 inline void route_one_ref(const StreamKey& rkey, std::uint32_t entry,
                           std::uint64_t n_minus_1, std::uint32_t* to_out,
                           std::uint64_t* word_out) {
@@ -28,8 +30,8 @@ inline void route_one_ref(const StreamKey& rkey, std::uint32_t entry,
   *word_out = (rng() & kPriorityMask) | entry;
 }
 
-/// One recipient's channel flip, exactly as detail::deliver_stage1/2 do it
-/// through BscFlip / ScheduledFlip: first word of the (ckey, agent) stream
+/// One recipient's channel flip, exactly as BscFlip / ScheduledFlip decide
+/// it (sim/batch_engine.hpp): first word of the (ckey, agent) stream
 /// against the integer threshold.
 [[nodiscard]] inline std::uint8_t flip_one_ref(const StreamKey& ckey,
                                                std::uint32_t to,

@@ -1,21 +1,24 @@
 #pragma once
-// SIMD kernel dispatch seam for the BatchEngine round phases.
+// Block-kernel dispatch seam for the BatchEngine round phases.
 //
-// The two hot per-message loops of sim/batch_engine.hpp — the route phase
-// (per-sender recipient draw + acceptance priority) and the deliver phase's
-// integer-threshold channel flip — are pure arithmetic over counter-keyed
+// The RNG halves of the two hot per-message loops of sim/batch_engine.hpp —
+// the route phase (per-sender recipient index draw + acceptance priority)
+// and the deliver phase's integer-threshold channel flip — are pure
+// arithmetic over counter-keyed
 // RNG streams (util/rng.hpp): word k of agent a's stream is
 // mix64((key.hi + a*gamma + (k+1)*gamma) ^ (key.lo ^ a*mulA)), a pure
 // function of (key, agent, k) with no loop-carried state. That makes the
 // draws of 4 (AVX2) or 2 (NEON) agents computable per vector register with
 // bit-identical results: there is no stream to get out of order.
 //
-// This header is the seam. The engine calls the block kernels through a
-// Kernels vtable selected once at startup:
+// This header is the seam. The engine draws every route and every
+// integer-threshold flip through the block kernels of one Kernels vtable,
+// selected once at startup — there is no separate per-message scalar path:
 //
-//  * scalar_kernels() — plain loops over the same CounterRng primitives the
-//    engine's scalar path uses. Always compiled; definitionally exact.
-//  * avx2_kernels() / neon_kernels() — vector twins, compiled only when the
+//  * scalar_kernels() — plain loops over the CounterRng primitives
+//    (kernel_ref.hpp). Always compiled, definitionally exact, and the set
+//    FLIP_SIMD=OFF builds and pre-AVX2 machines run.
+//  * avx2_kernels() / neon_kernels() — vector sets, compiled only when the
 //    FLIP_SIMD CMake option is ON and the target architecture matches
 //    (kernels_avx2.cpp is built with -mavx2 on x86-64, kernels_neon.cpp on
 //    aarch64). AVX2 is additionally gated at runtime via
@@ -26,8 +29,8 @@
 // scalar reference for every input (tests/simd_kernels_test.cpp holds each
 // block kernel to the CounterRng reference; tests/simd_differential_test.cpp
 // holds whole-engine outcomes and counters to the forced-scalar path on
-// every registry entry). The engine's own scalar loops stay untouched as
-// ground truth — FLIP_SIMD=OFF builds contain no vector code at all.
+// every registry entry). FLIP_SIMD=OFF builds contain no vector code at
+// all.
 //
 // force_isa() exists for those tests and for bench_simd's in-process A/B:
 // it pins the active kernel set for the whole process (not thread-local —
@@ -64,8 +67,13 @@ inline constexpr std::uint64_t kPriorityMask = 0xffff'ffff'0000'0000ULL;
 ///   CounterRng rng(rkey, sender);
 ///   to = uniform_index(rng, n_minus_1); to += (to >= sender);
 ///   word = (rng() & kPriorityMask) | e;
-/// Preconditions: n_minus_1 in [1, 2^32) (the engine enforces n < 2^31).
-/// The outputs feed the engine's unchanged scalar scatter/min-combine pass.
+/// Preconditions: n_minus_1 in [1, 2^32) (the engine enforces n < 2^31);
+/// the sender may lie above n_minus_1. The engine passes the topology's
+/// draw bound: n - 1 on the complete graph, where `to` is the recipient,
+/// or the out-degree on a sparse graph, where the engine undoes the
+/// self-skip (to - (to > sender) is the drawn index) and maps the index
+/// through the neighbor set. The outputs feed the engine's scalar
+/// remap/scatter/min-combine pass.
 using RouteBlockFn = void (*)(std::uint64_t rkey_hi, std::uint64_t rkey_lo,
                               const std::uint32_t* entries, std::size_t count,
                               std::uint64_t n_minus_1, std::uint32_t* to_out,
@@ -110,18 +118,6 @@ bool force_isa(Isa isa) noexcept;
 
 /// Restores active() to best_isa().
 void reset_isa() noexcept;
-
-#if FLIP_SIMD_ENABLED
-/// True when this build compiled vector kernels at all. `if constexpr
-/// (!kCompiled)` folds the SIMD branches out of FLIP_SIMD=OFF builds.
-inline constexpr bool kCompiled = true;
-/// True when the active set is a vector one (false after force_isa(kScalar)
-/// and on machines without the compiled ISA).
-[[nodiscard]] bool enabled() noexcept;
-#else
-inline constexpr bool kCompiled = false;
-[[nodiscard]] constexpr bool enabled() noexcept { return false; }
-#endif
 
 // Defined only in their architecture's translation unit; dispatch.cpp
 // references them under the matching FLIP_SIMD_HAVE_* macro.

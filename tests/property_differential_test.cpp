@@ -44,6 +44,7 @@
 #include "core/topology.hpp"
 #include "sim/trial.hpp"
 #include "support/proptest.hpp"
+#include "support/topology_gen.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 #include "workload/registry.hpp"
@@ -107,37 +108,6 @@ ChurnSpec random_churn(proptest::Gen& gen) {
   return churn;
 }
 
-/// A random valid topology spec across every family, sized so it resolves
-/// against any n >= 64 (ring/rewired degrees stay <= 16; grid radius <= 2
-/// paired with the grid-friendly n set below).
-TopologySpec random_topology(proptest::Gen& gen) {
-  TopologySpec spec;
-  switch (gen.range(0, 4)) {
-    case 0:
-      break;  // complete: the identity path must stay in the mix
-    case 1:
-      spec.kind = TopologyKind::kRing;
-      spec.k = 2 * static_cast<std::size_t>(gen.range(1, 8));
-      break;
-    case 2:
-      spec.kind = TopologyKind::kGrid;
-      spec.radius = static_cast<std::size_t>(gen.range(1, 2));
-      break;
-    case 3:
-      spec.kind = TopologyKind::kSmallWorld;
-      spec.k = 2 * static_cast<std::size_t>(gen.range(1, 8));
-      spec.rewire_prob = gen.real(0.0, 0.5);
-      break;
-    default:
-      spec.kind = TopologyKind::kDynamic;
-      spec.k = 2 * static_cast<std::size_t>(gen.range(1, 8));
-      spec.rewire_prob = gen.real(0.05, 0.5);
-      break;
-  }
-  spec.validate();
-  return spec;
-}
-
 /// A random configuration against one registry entry: small n, random
 /// shard count, and (where the scenario supports them) a random schedule,
 /// churn spec, and topology. `overrides.engine` is left for the caller.
@@ -158,13 +128,11 @@ ScenarioOverrides random_overrides(proptest::Gen& gen,
   }
   TopologySpec effective = info.default_topology;
   if (info.supports_topology && gen.chance(0.5)) {
-    effective = random_topology(gen);
+    effective = proptest::random_topology(gen);
     overrides.topology = effective;
   }
   if (effective.kind == TopologyKind::kGrid) {
-    overrides.n = static_cast<std::size_t>(gen.pick(
-        {std::uint64_t{64}, std::uint64_t{100}, std::uint64_t{128},
-         std::uint64_t{144}, std::uint64_t{196}, std::uint64_t{256}}));
+    overrides.n = proptest::grid_friendly_n(gen);
   }
   return overrides;
 }
