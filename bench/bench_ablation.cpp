@@ -9,7 +9,7 @@
 // plus the schedule's constants (ablations: starved phase 0, tiny gamma,
 // too few boost phases).
 
-#include "bench_common.hpp"
+#include "cli/bench_report.hpp"
 
 #include "baselines/forward.hpp"
 #include "net/channel.hpp"
@@ -17,8 +17,11 @@
 #include "workload/scenarios.hpp"
 
 int main(int argc, char** argv) {
-  const auto options = flip::bench::parse_args(argc, argv);
-  flip::bench::banner(
+  flip::cli::ArgParser parser(
+      "bench_ablation",
+      "E11: design-ingredient knockouts (Sections 1.6, 2.1.1).");
+  const auto options = flip::cli::parse_bench_args(parser, argc, argv);
+  flip::cli::bench_banner(
       options, "E11 bench_ablation",
       "Knock out each design ingredient (Sections 1.6/2.1.1) and watch "
       "which ones the guarantee\nactually leans on at this scale. Stage II "
@@ -116,7 +119,7 @@ int main(int argc, char** argv) {
         .cell("Sec 1.6: bias decays (2 eps)^depth");
   }
 
-  flip::bench::emit(
+  flip::cli::bench_emit(
       options, table,
       "Note: 'final correct fraction' near 0.5 means the population carries "
       "no usable signal;\nnear 1.0 with success < trials means the "

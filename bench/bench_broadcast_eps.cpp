@@ -4,7 +4,7 @@
 // rounds * eps^2 must stay ~constant and the log-log slope of rounds
 // against eps must be ~ -2.
 
-#include "bench_common.hpp"
+#include "cli/bench_report.hpp"
 
 #include <vector>
 
@@ -13,8 +13,11 @@
 #include "workload/scenarios.hpp"
 
 int main(int argc, char** argv) {
-  const auto options = flip::bench::parse_args(argc, argv);
-  flip::bench::banner(
+  flip::cli::ArgParser parser(
+      "bench_broadcast_eps",
+      "E2: broadcast rounds vs eps at fixed n (Theorem 2.17).");
+  const auto options = flip::cli::parse_bench_args(parser, argc, argv);
+  flip::cli::bench_banner(
       options, "E2 bench_broadcast_eps",
       "Theorem 2.17: rounds ~ 1/eps^2 at fixed n.\n"
       "Expect: rounds*eps^2 ~ constant; log-log slope vs eps ~ -2; "
@@ -47,10 +50,11 @@ int main(int argc, char** argv) {
     rounds.push_back(summary.rounds.mean());
   }
   const flip::PowerLawFit fit = flip::fit_power_law(epses, rounds);
-  flip::bench::emit(options, table,
-                    "power-law fit: rounds ~ " +
-                        flip::format_fixed(fit.prefactor, 1) + " * eps^" +
-                        flip::format_fixed(fit.exponent, 2) + "  (theory: -2; R^2 = " +
-                        flip::format_fixed(fit.r_squared, 4) + ")");
+  flip::cli::bench_emit(
+      options, table,
+      "power-law fit: rounds ~ " + flip::format_fixed(fit.prefactor, 1) +
+          " * eps^" + flip::format_fixed(fit.exponent, 2) +
+          "  (theory: -2; R^2 = " + flip::format_fixed(fit.r_squared, 4) +
+          ")");
   return 0;
 }

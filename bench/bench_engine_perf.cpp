@@ -24,7 +24,6 @@
 #include <string>
 #include <vector>
 
-#include "cli/args.hpp"
 #include "cli/bench_report.hpp"
 #include "sim/trial.hpp"
 #include "util/table.hpp"
@@ -68,7 +67,6 @@ int main(int argc, char** argv) {
   std::optional<std::size_t> trials;
   std::optional<std::size_t> threads;
   std::optional<std::uint64_t> seed;
-  flip::cli::BenchOptions options;
 
   flip::cli::ArgParser parser(
       "bench_engine_perf",
@@ -76,24 +74,12 @@ int main(int argc, char** argv) {
       "Identical per-trial results; only the substrate differs.");
   parser.add_option("--n", "list", "comma-separated population sizes",
                     &n_list);
-  parser.add_size("--trials", "trials per (n, engine) cell (default 8)",
-                  &trials);
+  parser.add_count("--trials", "trials per (n, engine) cell (default 8)",
+                   &trials);
   parser.add_size("--threads", "worker threads (default: hardware)",
                   &threads);
   parser.add_uint64("--seed", "master seed (default 0x5eed)", &seed);
-  parser.add_flag("--csv", "emit table rows as CSV instead of rendering",
-                  &options.csv);
-  parser.add_option("--json", "path",
-                    "also write the flip-bench-v1 JSON report to <path>",
-                    &options.json_path);
-  if (!parser.parse(argc, argv)) {
-    if (parser.help_requested()) {
-      std::cout << parser.usage();
-      return 0;
-    }
-    std::cerr << "error: " << parser.error() << "\n\n" << parser.usage();
-    return 2;
-  }
+  const auto options = flip::cli::parse_bench_args(parser, argc, argv);
 
   std::string error;
   const auto ns = flip::cli::parse_size_list(n_list, error);

@@ -8,8 +8,8 @@
 // and keeps the per-worker TrialArena scratch warm across requests
 // (sim/trial_arena.hpp), so a warm request's cost approaches the pure
 // simulation time. The committed trajectory point lives in
-// bench/results/BENCH_service.json; the warm path must stay >= 5x below
-// the cold CLI on the small request.
+// bench/results/BENCH_service.json. Its cold/warm ratio is recorded, not
+// gated: no CI step runs this bench.
 //
 //   bench_service --json bench/results/BENCH_service.json
 //   bench_service --flipsim build/tools/flipsim --requests 32
@@ -24,7 +24,6 @@
 #include <optional>
 #include <string>
 
-#include "cli/args.hpp"
 #include "cli/bench_report.hpp"
 #include "cli/wire.hpp"
 #include "net/service.hpp"
@@ -57,36 +56,24 @@ int main(int argc, char** argv) {
   std::optional<std::size_t> cold_runs;
   std::optional<std::size_t> n;
   std::optional<std::size_t> trials;
-  flip::cli::BenchOptions options;
 
   flip::cli::ArgParser parser(
       "bench_service",
       "E21: warm resident-daemon request latency vs cold one-shot CLI\n"
-      "latency on a tiny sweep (fixed costs dominate). The warm path must\n"
-      "stay >= 5x below the cold CLI.");
+      "latency on a tiny sweep (fixed costs dominate). The cold/warm ratio\n"
+      "is recorded, not gated.");
   parser.add_option("--flipsim", "path",
                     "flipsim binary for the cold runs (default: the sibling "
                     "build/tools/flipsim)",
                     &flipsim_path);
-  parser.add_size("--requests", "warm requests to time (default 16)",
-                  &requests);
-  parser.add_size("--cold-runs", "cold CLI invocations to time (default 5)",
-                  &cold_runs);
+  parser.add_count("--requests", "warm requests to time (default 16)",
+                   &requests);
+  parser.add_count("--cold-runs", "cold CLI invocations to time (default 5)",
+                   &cold_runs);
   parser.add_size("--n", "population size per request (default 16)", &n);
-  parser.add_size("--trials", "trials per request (default 1)", &trials);
-  parser.add_flag("--csv", "emit table rows as CSV instead of rendering",
-                  &options.csv);
-  parser.add_option("--json", "path",
-                    "also write the flip-bench-v1 JSON report to <path>",
-                    &options.json_path);
-  if (!parser.parse(argc, argv)) {
-    if (parser.help_requested()) {
-      std::cout << parser.usage();
-      return 0;
-    }
-    std::cerr << "error: " << parser.error() << "\n\n" << parser.usage();
-    return 2;
-  }
+  parser.add_count("--trials", "trials per request (default 1)", &trials);
+  const auto options = flip::cli::parse_bench_args(parser, argc, argv);
+
   if (flipsim_path.empty()) flipsim_path = default_flipsim_path(argv[0]);
 
   flip::cli::bench_banner(
@@ -171,6 +158,6 @@ int main(int argc, char** argv) {
           std::to_string(req_trials) +
           " trial(s)): cold_cli forks a fresh flipsim per sweep, "
           "warm_server reuses one resident daemon over loopback. cold/warm "
-          "is the residency speedup; the committed point must stay >= 5.");
+          "is the residency speedup, recorded here and not gated in CI.");
   return 0;
 }

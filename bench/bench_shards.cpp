@@ -26,7 +26,6 @@
 #include <thread>
 #include <vector>
 
-#include "cli/args.hpp"
 #include "cli/bench_report.hpp"
 #include "util/table.hpp"
 #include "workload/scenarios.hpp"
@@ -46,7 +45,6 @@ int main(int argc, char** argv) {
   std::string shard_list = "1,2,4,8";
   std::optional<std::size_t> trials;
   std::optional<std::uint64_t> seed;
-  flip::cli::BenchOptions options;
 
   flip::cli::ArgParser parser(
       "bench_shards",
@@ -57,22 +55,10 @@ int main(int argc, char** argv) {
                     &n_list);
   parser.add_option("--shards", "list", "comma-separated shard counts",
                     &shard_list);
-  parser.add_size("--trials", "trials per (n, shards) cell (default 1)",
-                  &trials);
+  parser.add_count("--trials", "trials per (n, shards) cell (default 1)",
+                   &trials);
   parser.add_uint64("--seed", "master seed (default 0x5eed)", &seed);
-  parser.add_flag("--csv", "emit table rows as CSV instead of rendering",
-                  &options.csv);
-  parser.add_option("--json", "path",
-                    "also write the flip-bench-v1 JSON report to <path>",
-                    &options.json_path);
-  if (!parser.parse(argc, argv)) {
-    if (parser.help_requested()) {
-      std::cout << parser.usage();
-      return 0;
-    }
-    std::cerr << "error: " << parser.error() << "\n\n" << parser.usage();
-    return 2;
-  }
+  const auto options = flip::cli::parse_bench_args(parser, argc, argv);
 
   std::string error;
   const auto ns = flip::cli::parse_size_list(n_list, error);

@@ -29,7 +29,6 @@
 #include <optional>
 #include <string>
 
-#include "cli/args.hpp"
 #include "cli/bench_report.hpp"
 #include "core/environment.hpp"
 #include "sim/surrogate_engine.hpp"
@@ -54,7 +53,6 @@ struct EnvCase {
 int main(int argc, char** argv) {
   std::string n_list = "1000000,10000000,100000000,1000000000";
   std::optional<std::size_t> evals;
-  flip::cli::BenchOptions options;
 
   flip::cli::ArgParser parser(
       "bench_surrogate",
@@ -63,22 +61,10 @@ int main(int argc, char** argv) {
       "n = 10^9 static cell is the committed sub-100-ms trajectory point.");
   parser.add_option("--n", "list", "comma-separated population sizes",
                     &n_list);
-  parser.add_size("--evals", "evaluations per cell (default 8, timed "
-                  "together and averaged)",
-                  &evals);
-  parser.add_flag("--csv", "emit table rows as CSV instead of rendering",
-                  &options.csv);
-  parser.add_option("--json", "path",
-                    "also write the flip-bench-v1 JSON report to <path>",
-                    &options.json_path);
-  if (!parser.parse(argc, argv)) {
-    if (parser.help_requested()) {
-      std::cout << parser.usage();
-      return 0;
-    }
-    std::cerr << "error: " << parser.error() << "\n\n" << parser.usage();
-    return 2;
-  }
+  parser.add_count("--evals", "evaluations per cell (default 8, timed "
+                   "together and averaged)",
+                   &evals);
+  const auto options = flip::cli::parse_bench_args(parser, argc, argv);
 
   std::string error;
   const auto ns = flip::cli::parse_size_list(n_list, error);

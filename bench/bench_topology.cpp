@@ -24,7 +24,6 @@
 #include <string>
 #include <vector>
 
-#include "cli/args.hpp"
 #include "cli/bench_report.hpp"
 #include "core/topology.hpp"
 #include "util/table.hpp"
@@ -45,7 +44,6 @@ int main(int argc, char** argv) {
   std::string topology_list = "complete,ring:8,grid:2,smallworld:8:0.1,dynamic:8:0.1";
   std::optional<std::size_t> trials;
   std::optional<std::uint64_t> seed;
-  flip::cli::BenchOptions options;
 
   flip::cli::ArgParser parser(
       "bench_topology",
@@ -57,22 +55,10 @@ int main(int argc, char** argv) {
   parser.add_option("--topologies", "list",
                     "comma-separated topology specs (see flipsim --topology)",
                     &topology_list);
-  parser.add_size("--trials", "trials per (n, topology) cell (default 4)",
-                  &trials);
+  parser.add_count("--trials", "trials per (n, topology) cell (default 4)",
+                   &trials);
   parser.add_uint64("--seed", "master seed (default 0x5eed)", &seed);
-  parser.add_flag("--csv", "emit table rows as CSV instead of rendering",
-                  &options.csv);
-  parser.add_option("--json", "path",
-                    "also write the flip-bench-v1 JSON report to <path>",
-                    &options.json_path);
-  if (!parser.parse(argc, argv)) {
-    if (parser.help_requested()) {
-      std::cout << parser.usage();
-      return 0;
-    }
-    std::cerr << "error: " << parser.error() << "\n\n" << parser.usage();
-    return 2;
-  }
+  const auto options = flip::cli::parse_bench_args(parser, argc, argv);
 
   std::string error;
   const auto ns = flip::cli::parse_size_list(n_list, error);

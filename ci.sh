@@ -8,12 +8,15 @@ BUILD_DIR="${1:-build}"
 
 # Determinism lint gate, before anything compiles: zero findings over the
 # tree, and the linter's own unit suite (seeded violations per rule class)
-# must hold. ctest registers the same two checks when a Python interpreter
-# is found at configure time; here in the CI mirror the interpreter is a
-# hard requirement so the gate cannot silently vanish.
+# must hold; so must the perf gate's verdict tests (check_engine_perf.py
+# against a fake bench binary). ctest registers the same three checks when
+# a Python interpreter is found at configure time; here in the CI mirror
+# the interpreter is a hard requirement so the gates cannot silently
+# vanish.
 if command -v python3 >/dev/null 2>&1; then
   python3 tools/flip_lint.py
   python3 tools/flip_lint_test.py
+  python3 tools/check_engine_perf_test.py
 else
   echo "python3 is required for the flip_lint gate" >&2
   exit 1

@@ -131,6 +131,21 @@ void ArgParser::add_uint64(std::string name, std::string help,
   specs_.push_back(std::move(spec));
 }
 
+void ArgParser::add_count(std::string name, std::string help,
+                          std::optional<std::size_t>* out) {
+  add_size(std::move(name), std::move(help), out);
+  Spec& spec = specs_.back();
+  spec.apply = [parse = std::move(spec.apply), out, flag = spec.name](
+                   std::string_view value, std::string& error) {
+    if (!parse(value, error)) return false;
+    if (**out == 0) {
+      error = flag + ": must be at least 1";
+      return false;
+    }
+    return true;
+  };
+}
+
 bool ArgParser::parse(int argc, const char* const* argv) {
   bool only_positionals = false;
   for (int i = 1; i < argc; ++i) {

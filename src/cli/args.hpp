@@ -1,8 +1,8 @@
 #pragma once
 // Declarative command-line parsing shared by tools/flipsim and every
-// bench/ binary (via bench_common.hpp). Options are registered up front so
-// --help is generated, unknown flags are errors instead of silently
-// ignored, and the 16 bench binaries stop re-implementing argv loops.
+// bench/ binary (via cli::parse_bench_args). Options are registered up
+// front so --help is generated, unknown flags are errors instead of
+// silently ignored, and no binary re-implements an argv loop.
 //
 // Supported shapes: "--flag", "--opt value", "--opt=value", and options
 // whose value is optional ("--json" writes to stdout, "--json path" to a
@@ -42,6 +42,9 @@ class ArgParser {
                   std::optional<double>* out);
   void add_uint64(std::string name, std::string help,
                   std::optional<std::uint64_t>* out);
+  /// add_size for repeat counts a caller divides by: 0 is a parse error.
+  void add_count(std::string name, std::string help,
+                 std::optional<std::size_t>* out);
 
   /// Parses argv. Returns false when --help was requested (usage already
   /// considered handled by the caller printing usage()) or on error

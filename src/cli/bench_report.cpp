@@ -4,15 +4,13 @@
 #include <fstream>
 #include <iostream>
 
-#include "cli/args.hpp"
 #include "util/json_writer.hpp"
 
 namespace flip::cli {
 
-BenchOptions parse_bench_args(int argc, const char* const* argv) {
+BenchOptions parse_bench_args(ArgParser& parser, int argc,
+                              const char* const* argv) {
   BenchOptions options;
-  ArgParser parser(argc > 0 ? argv[0] : "bench",
-                   "flip experiment harness binary (see docs/BENCHMARKS.md)");
   parser.add_flag("--csv", "emit table rows as CSV instead of rendering",
                   &options.csv);
   parser.add_option("--json", "path",

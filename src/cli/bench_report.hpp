@@ -1,15 +1,18 @@
 #pragma once
 // Shared option handling and output for the bench/ experiment binaries.
-// bench_common.hpp forwards here, so all 16 binaries get the same flags
-// from one parser: --csv (machine rows to stdout), --json <path> (the
-// "flip-bench-v1" document), and a generated --help. The report
-// accumulates every emitted table, and the JSON file is rewritten after
-// each emit so partial output exists even if a later experiment aborts.
+// Every binary builds its own ArgParser with its own flags and hands it to
+// parse_bench_args, which adds the shared ones — --csv (machine rows to
+// stdout), --json <path> (the "flip-bench-v1" document) — and handles
+// --help and parse errors, so all 21 binaries exit the same way. The
+// report accumulates every emitted table, and the JSON file is rewritten
+// after each emit so partial output exists even if a later experiment
+// aborts.
 
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "cli/args.hpp"
 #include "util/table.hpp"
 
 namespace flip::cli {
@@ -29,16 +32,17 @@ struct BenchReport {
 struct BenchOptions {
   bool csv = false;
   std::string json_path;  ///< empty = no JSON output
-  /// Mutable accumulation behind a const Options value: the bench main()s
-  /// hold `const auto options = parse_args(...)` by long-standing
-  /// convention, but banner/emit still need somewhere to collect tables.
+  /// Mutable accumulation behind a const options value: the bench main()s
+  /// hold `const auto options = parse_bench_args(...)`, but banner/emit
+  /// still need somewhere to collect tables.
   std::shared_ptr<BenchReport> report = std::make_shared<BenchReport>();
 };
 
-/// Parses the shared bench flags. On --help prints usage and exits 0; on a
-/// parse error prints the error plus usage to stderr and exits 2 — bench
-/// main()s stay one-liners.
-[[nodiscard]] BenchOptions parse_bench_args(int argc,
+/// Adds the shared bench flags to `parser` (which already holds the
+/// binary's own flags) and parses argv; the parser is spent afterwards. On
+/// --help prints usage and exits 0; on a parse error (including a zero
+/// add_count value) prints the error plus usage to stderr and exits 2.
+[[nodiscard]] BenchOptions parse_bench_args(ArgParser& parser, int argc,
                                             const char* const* argv);
 
 /// Prints the experiment banner (suppressed under --csv) and records

@@ -1,7 +1,6 @@
 #pragma once
 // Machine-readable reporting for sweeps: the flipsim-sweep-v1 JSON schema,
-// a flat CSV with one row per grid point, the human table, and the
-// BENCH_*.json trajectory schema documented in docs/BENCHMARKS.md. All
+// a flat CSV with one row per grid point, and the human table. All
 // emitters walk the same SweepResult, so the formats cannot drift apart.
 
 #include <string>
@@ -52,18 +51,6 @@ void append_sweep_point(JsonWriter& json, const SweepPoint& point);
 
 /// Human-readable summary table for the terminal.
 [[nodiscard]] TextTable sweep_table(const SweepResult& result);
-
-/// The docs/BENCHMARKS.md trajectory schema: {bench, experiment, git_rev,
-/// metrics, params} with stable per-point metric keys. `experiment` names
-/// the BENCH_<id>.json file this lands in (e.g. "baseline").
-[[nodiscard]] std::string sweep_to_bench_json(const SweepResult& result,
-                                              const std::string& experiment,
-                                              const std::string& git_rev);
-
-/// A stable identifier fragment for one grid point, e.g.
-/// "broadcast_n1024_eps0.2" (channel appended when not the bsc default).
-[[nodiscard]] std::string point_key(const SweepResult& result,
-                                    const SweepPoint& point);
 
 /// Pretty-printed "flipsim-validate-v1" document for the surrogate
 /// validation harness: spec-level parameters and the tolerance constants,

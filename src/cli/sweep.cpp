@@ -13,9 +13,8 @@ namespace flip::cli {
 
 namespace {
 
-// Repeated axis values would produce duplicate grid points — and duplicate
-// metric keys in the BENCH_*.json trajectory, where JSON parsers silently
-// keep only the last one. Order-preserving dedup.
+// Repeated axis values would produce duplicate grid points: the same cell
+// run twice and reported twice. Order-preserving dedup.
 template <typename T>
 std::vector<std::optional<T>> axis_values(const std::vector<T>& values) {
   std::vector<std::optional<T>> axis;

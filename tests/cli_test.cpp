@@ -99,6 +99,20 @@ TEST(ArgParserTest, ErrorsAndHelp) {
     EXPECT_NE(parser.error().find("abc"), std::string::npos);
   }
   {
+    // A repeat count is a divisor: zero is rejected, naming the flag.
+    std::optional<std::size_t> trials;
+    ArgParser parser("prog", "");
+    parser.add_count("--trials", "", &trials);
+    const char* zero[] = {"prog", "--trials", "0"};
+    EXPECT_FALSE(parser.parse(3, zero));
+    EXPECT_EQ(parser.error(), "--trials: must be at least 1");
+    ArgParser again("prog", "");
+    again.add_count("--trials", "", &trials);
+    const char* three[] = {"prog", "--trials=3"};
+    EXPECT_TRUE(again.parse(2, three));
+    EXPECT_EQ(trials, std::optional<std::size_t>(3));
+  }
+  {
     ArgParser parser("prog", "");
     const char* argv[] = {"prog", "-h"};
     EXPECT_FALSE(parser.parse(2, argv));
@@ -144,7 +158,7 @@ TEST(SweepTest, ExpandGridCrossProduct) {
 }
 
 TEST(SweepTest, ExpandGridDedupesRepeatedAxisValues) {
-  // Duplicate grid points would collide in the BENCH_*.json metric keys.
+  // Duplicate grid points would run and report the same cell twice.
   SweepSpec spec;
   spec.scenario = "broadcast_small";
   spec.ns = {128, 128, 64};
@@ -497,32 +511,6 @@ TEST(SweepTest, TopologyTooLargeForGridFailsBeforeRunning) {
   spec.ns = {64};
   spec.topology = TopologySpec::parse("ring:64");
   EXPECT_THROW(expand_grid(spec), std::invalid_argument);
-}
-
-TEST(ReportTest, PointKeyIsStable) {
-  const SweepResult result = known_result();
-  EXPECT_EQ(point_key(result, result.points[0]), "demo_n64_eps0.25");
-  SweepResult hetero = known_result();
-  hetero.points[0].config.channel = "heterogeneous";
-  EXPECT_EQ(point_key(hetero, hetero.points[0]),
-            "demo_n64_eps0.25_heterogeneous");
-}
-
-TEST(ReportTest, BenchTrajectorySchema) {
-  const std::string json =
-      sweep_to_bench_json(known_result(), "baseline", "abc1234");
-  EXPECT_NE(json.find("\"bench\": \"flipsim\""), std::string::npos);
-  EXPECT_NE(json.find("\"experiment\": \"baseline\""), std::string::npos);
-  EXPECT_NE(json.find("\"git_rev\": \"abc1234\""), std::string::npos);
-  // Stable metric keys with mandatory unit/higher_is_better.
-  EXPECT_NE(json.find("\"demo_n64_eps0.25_success_rate\""),
-            std::string::npos);
-  EXPECT_NE(json.find("\"demo_n64_eps0.25_rounds_mean\""), std::string::npos);
-  EXPECT_NE(json.find("\"unit\": \"rounds\""), std::string::npos);
-  EXPECT_NE(json.find("\"higher_is_better\": false"), std::string::npos);
-  EXPECT_NE(json.find("\"sweep_wall_seconds\""), std::string::npos);
-  // The params block pins reproduction inputs, including the seed.
-  EXPECT_NE(json.find("\"seed\": 7"), std::string::npos);
 }
 
 TEST(ReportTest, BenchReportJsonGolden) {

@@ -6,31 +6,30 @@ Usage:
   check_engine_perf.py --shards <bench_shards-binary> <committed-json> <out-json>
   check_engine_perf.py --simd <bench_simd-binary> <committed-json> <out-json>
 
-Default mode runs the CI-sized engine A/B (n=1024, 8 trials, 8 threads) and
-compares the measured batch/classic speedup against the committed reference
-point in bench/results/BENCH_engine_perf.json. The speedup RATIO is gated,
-not absolute wall-clock, so slower CI machines don't trip it; the benchmark
-is run twice and the better ratio is kept, because a single ~0.2 s sample on
-a shared runner can eat a scheduling stall.
+Every mode runs a CI-sized bench twice, keeps the better speedup (a single
+short sample on a shared runner can eat a scheduling stall), and gates it
+against the committed flip-bench-v1 point. The speedup RATIO is gated, not
+absolute wall-clock, so slower CI machines don't trip it. The GATES table
+below holds each mode's command line, the row it reads, and its bounds:
 
---shards mode runs the CI-sized shard scaling grid (single broadcast trial,
-n=100000, shards 1 and 8) and gates the 8-shard point from
-bench/results/BENCH_shards.json. Shard speedups depend on the measuring
-machine's cores, so the gate is hardware-aware:
+Default mode: the engine A/B (n=1024, 8 trials, 8 threads); the batch/
+classic speedup must stay >= 0.8x the committed
+bench/results/BENCH_engine_perf.json point, which must exist.
 
-  * committed row with the SAME core count exists -> measured 8-shard
-    speedup must stay >= 0.7x the committed one (a regression gate; wider
-    than the fast-path tolerance because the CI-sized shard ratio is a
-    cache-locality effect and noisier);
-  * otherwise -> the 8-shard run must not be more than 25% SLOWER than the
-    1-shard run (speedup >= 0.75). Sharding is allowed to be useless on a
-    box without the cores to feed it, but never expensive — and on any box
-    a collapse of the sharded path shows up here.
+--shards: the single-trial shard grid (n=100000, shards 1 and 8), gating
+the 8-shard point of bench/results/BENCH_shards.json. Shard speedups
+depend on the measuring machine's cores, so the gate is hardware-aware:
 
---simd mode runs the CI-sized scalar-vs-vector kernel A/B (single-trial
-broadcast, n=16384) from a FLIP_SIMD=ON build and gates the speedup against
-bench/results/BENCH_simd.json. SIMD speedups depend on the measured ISA and
-the machine, so the gate is hardware-aware like --shards:
+  * committed row with the SAME core count exists -> measured speedup must
+    stay >= 0.7x the committed one (wider than the fast-path tolerance
+    because the CI-sized shard ratio is a cache-locality effect and
+    noisier);
+  * otherwise -> overhead floor: 8 shards may not be more than 25% SLOWER
+    than 1 (speedup >= 0.75). Sharding is allowed to be useless on a box
+    without the cores to feed it, but never expensive.
+
+--simd: the scalar-vs-vector kernel A/B (single-trial broadcast, n=16384)
+from a FLIP_SIMD=ON build, gated against bench/results/BENCH_simd.json:
 
   * measured isa == "scalar" (FLIP_SIMD=OFF binary, or a CPU without any
     compiled vector set) -> nothing to gate; pass with a notice. The
@@ -40,13 +39,15 @@ the machine, so the gate is hardware-aware like --shards:
   * otherwise -> overhead floor: the vector kernels may be useless on this
     machine but never expensive (speedup >= 0.95).
 
-Shared by ci.sh and ci.yml so the two CI paths cannot drift. Methodology:
+Shared by ci.sh and ci.yml so the two CI paths cannot drift; its verdicts
+are pinned by tools/check_engine_perf_test.py. Methodology:
 docs/PERFORMANCE.md.
 """
 
 import json
 import subprocess
 import sys
+from collections import namedtuple
 
 GATE_N = 1024
 RUNS = 2
@@ -54,8 +55,6 @@ TOLERANCE = 0.8  # >20% regression fails
 
 SHARD_GATE_N = 100000
 SHARD_GATE_SHARDS = 8
-# The CI-sized shard ratio is mostly a cache-locality effect and noisier
-# than the in-process A/B ratio, so its regression tolerance is wider.
 SHARD_TOLERANCE = 0.7
 SHARD_OVERHEAD_FLOOR = 0.75  # 8 shards may not be >25% slower than 1
 
@@ -63,35 +62,50 @@ SIMD_GATE_N = 16384
 SIMD_TOLERANCE = 0.8  # same ISA: >20% regression fails
 SIMD_OVERHEAD_FLOOR = 0.95  # unknown ISA: SIMD may not be >5% slower
 
+# One row per mode. `key` picks the gated row; a committed row counts as
+# this machine's point only if its `match` columns equal the measured
+# row's, and rows whose `prefer` columns also match win. `floor` is the
+# overhead floor when no committed row matches (None: one must exist).
+Gate = namedtuple("Gate", "label args key match prefer tolerance floor")
+GATES = {
+    None: Gate("fast-path",
+               ["--n", str(GATE_N), "--trials", "8", "--threads", "8"],
+               {"n": GATE_N}, (), (), TOLERANCE, None),
+    "--shards": Gate("sharded",
+                     ["--n", str(SHARD_GATE_N), "--shards",
+                      f"1,{SHARD_GATE_SHARDS}", "--trials", "1"],
+                     {"n": SHARD_GATE_N, "shards": SHARD_GATE_SHARDS},
+                     ("cores",), (), SHARD_TOLERANCE, SHARD_OVERHEAD_FLOOR),
+    "--simd": Gate("simd", ["--n", str(SIMD_GATE_N), "--trials", "2"],
+                   {"n": SIMD_GATE_N}, ("isa",), ("cores",),
+                   SIMD_TOLERANCE, SIMD_OVERHEAD_FLOOR),
+}
 
-def rows_from(path):
+
+def rows_from(path, key):
+    """The rows of a flip-bench-v1 document whose `key` columns hold the
+    given values, in document order, as {header: cell} dicts."""
     with open(path) as f:
         doc = json.load(f)
-    for table in doc["tables"]:
-        cols = {name: i for i, name in enumerate(table["headers"])}
-        for row in table["rows"]:
-            yield cols, row
+    rows = [dict(zip(table["headers"], cells))
+            for table in doc["tables"] for cells in table["rows"]]
+    return [row for row in rows
+            if all(row.get(col) == str(value) for col, value in key.items())]
 
 
-def speedup_from(path, n):
-    for cols, row in rows_from(path):
-        if row[cols["n"]] == str(n):
-            return float(row[cols["speedup"]])
-    raise SystemExit(f"{path}: no n={n} row")
+def measured_row(path, gate):
+    rows = rows_from(path, gate.key)
+    if not rows:
+        raise SystemExit(f"{path}: no {gate.key} row")
+    return rows[0]
 
 
-def shard_row_from(path, n, shards, cores=None):
-    """First (n, shards) row — preferring one whose cores match, so a file
-    holding trajectory rows from several machines gates against the right
-    one. Returns (speedup, cores) or None."""
-    fallback = None
-    for cols, row in rows_from(path):
-        if row[cols["n"]] == str(n) and row[cols["shards"]] == str(shards):
-            found = float(row[cols["speedup"]]), int(row[cols["cores"]])
-            if cores is None or found[1] == cores:
-                return found
-            fallback = fallback or found
-    return fallback
+def committed_row(path, gate, measured):
+    rows = [row for row in rows_from(path, gate.key)
+            if all(row[col] == measured[col] for col in gate.match)]
+    preferred = [row for row in rows
+                 if all(row[col] == measured[col] for col in gate.prefer)]
+    return (preferred or rows or [None])[0]
 
 
 def best_of(cmd, out_path, extract):
@@ -111,123 +125,44 @@ def best_of(cmd, out_path, extract):
     return best
 
 
-def gate_fastpath(bench, committed_path, out_path):
-    best = best_of(
-        [bench, "--n", str(GATE_N), "--trials", "8", "--threads", "8",
-         "--json", out_path],
-        out_path, lambda p: speedup_from(p, GATE_N))
-
-    committed = speedup_from(committed_path, GATE_N)
-    floor = TOLERANCE * committed
-    if best < floor:
-        raise SystemExit(
-            f"fast-path regression: batch/classic speedup {best:.2f} fell "
-            f"below {TOLERANCE} x committed {committed:.2f} "
-            f"(floor {floor:.2f})")
-    print(f"fast-path speedup ok: {best:.2f}x "
-          f"(committed {committed:.2f}x, floor {floor:.2f}x)")
-
-
-def required_shard_row(path):
-    row = shard_row_from(path, SHARD_GATE_N, SHARD_GATE_SHARDS)
-    if row is None:
-        raise SystemExit(
-            f"{path}: no n={SHARD_GATE_N}, shards={SHARD_GATE_SHARDS} row")
-    return row
-
-
-def gate_shards(bench, committed_path, out_path):
-    best = best_of(
-        [bench, "--n", str(SHARD_GATE_N), "--shards",
-         f"1,{SHARD_GATE_SHARDS}", "--trials", "1", "--json", out_path],
-        out_path, lambda p: required_shard_row(p)[0])
-    cores = required_shard_row(out_path)[1]
-
-    committed = shard_row_from(committed_path, SHARD_GATE_N,
-                               SHARD_GATE_SHARDS, cores)
-    if committed is not None and committed[1] == cores:
-        floor = SHARD_TOLERANCE * committed[0]
-        kind = (f"committed {committed[0]:.2f}x on {cores} core(s), "
-                f"floor {floor:.2f}x")
-    else:
-        floor = SHARD_OVERHEAD_FLOOR
-        kind = (f"no committed point for {cores} core(s); "
-                f"overhead floor {floor:.2f}x")
-    if best < floor:
-        raise SystemExit(
-            f"sharded-engine regression: {SHARD_GATE_SHARDS}-shard speedup "
-            f"{best:.2f} fell below {floor:.2f} ({kind})")
-    print(f"sharded speedup ok: {best:.2f}x at {SHARD_GATE_SHARDS} shards "
-          f"on {cores} core(s) ({kind})")
-
-
-def simd_row_from(path, n, isa=None, cores=None):
-    """First n row — preferring a matching isa, then matching cores, so a
-    trajectory file holding rows from several machines/ISAs gates against
-    the right one. Returns (speedup, isa, cores) or None."""
-    fallback = None
-    for cols, row in rows_from(path):
-        if row[cols["n"]] != str(n):
-            continue
-        found = (float(row[cols["speedup"]]), row[cols["isa"]],
-                 int(row[cols["cores"]]))
-        if isa is None or found[1] == isa:
-            if cores is None or found[2] == cores:
-                return found
-            fallback = fallback or found
-    return fallback
-
-
-def required_simd_row(path):
-    row = simd_row_from(path, SIMD_GATE_N)
-    if row is None:
-        raise SystemExit(f"{path}: no n={SIMD_GATE_N} row")
-    return row
-
-
-def gate_simd(bench, committed_path, out_path):
-    best = best_of(
-        [bench, "--n", str(SIMD_GATE_N), "--trials", "2",
-         "--json", out_path],
-        out_path, lambda p: required_simd_row(p)[0])
-    _, isa, cores = required_simd_row(out_path)
-
-    if isa == "scalar":
-        print("simd gate skipped: no vector kernel set in this "
+def run_gate(gate, bench, committed_path, out_path):
+    best = best_of([bench, *gate.args, "--json", out_path], out_path,
+                   lambda p: float(measured_row(p, gate)["speedup"]))
+    measured = measured_row(out_path, gate)
+    machine = ", ".join(f"{col}={measured[col]}"
+                        for col in gate.match + gate.prefer)
+    if measured.get("isa") == "scalar":
+        print(f"{gate.label} gate skipped: no vector kernel set in this "
               "build/machine (isa=scalar, speedup is definitionally 1)")
         return
-    committed = simd_row_from(committed_path, SIMD_GATE_N, isa, cores)
-    if committed is not None and committed[1] == isa:
-        floor = SIMD_TOLERANCE * committed[0]
-        kind = (f"committed {committed[0]:.2f}x for {committed[1]} on "
-                f"{committed[2]} core(s), floor {floor:.2f}x")
+
+    committed = committed_row(committed_path, gate, measured)
+    if committed is not None:
+        floor = gate.tolerance * float(committed["speedup"])
+        where = ", ".join(f"{col}={committed[col]}"
+                          for col in gate.match + gate.prefer)
+        basis = (f"committed {committed['speedup']}x"
+                 f"{' for ' + where if where else ''}, "
+                 f"floor {gate.tolerance} x committed = {floor:.2f}x")
+    elif gate.floor is not None:
+        floor = gate.floor
+        basis = (f"no committed point for {machine}; "
+                 f"overhead floor {floor:.2f}x")
     else:
-        floor = SIMD_OVERHEAD_FLOOR
-        kind = (f"no committed point for {isa}; "
-                f"overhead floor {floor:.2f}x")
+        raise SystemExit(f"{committed_path}: no {gate.key} row")
     if best < floor:
-        raise SystemExit(
-            f"simd-kernel regression: {isa} speedup {best:.2f} fell below "
-            f"{floor:.2f} ({kind})")
-    print(f"simd speedup ok: {best:.2f}x with {isa} kernels on {cores} "
-          f"core(s) ({kind})")
+        raise SystemExit(f"{gate.label} regression: speedup {best:.2f} fell "
+                         f"below {floor:.2f} ({basis})")
+    print(f"{gate.label} speedup ok: {best:.2f}x"
+          f"{' on ' + machine if machine else ''} ({basis})")
 
 
 def main():
     args = sys.argv[1:]
-    mode = None
-    if args and args[0] in ("--shards", "--simd"):
-        mode = args[0]
-        args = args[1:]
+    mode = args.pop(0) if args and args[0] in GATES else None
     if len(args) != 3:
         raise SystemExit(__doc__)
-    bench, committed_path, out_path = args
-    if mode == "--shards":
-        gate_shards(bench, committed_path, out_path)
-    elif mode == "--simd":
-        gate_simd(bench, committed_path, out_path)
-    else:
-        gate_fastpath(bench, committed_path, out_path)
+    run_gate(GATES[mode], *args)
 
 
 if __name__ == "__main__":

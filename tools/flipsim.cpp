@@ -2,9 +2,8 @@
 //
 // Enumerates the workload registry (--list), runs parallel Monte-Carlo
 // sweeps over a (n, eps, channel) grid for one scenario, and emits the
-// results as a human table, CSV, flipsim-sweep-v1 JSON, compact JSON
-// lines, or the BENCH_*.json trajectory schema from docs/BENCHMARKS.md.
-// CSV and JSONL rows stream as each grid cell completes.
+// results as a human table, CSV, flipsim-sweep-v1 JSON, or compact JSON
+// lines. CSV and JSONL rows stream as each grid cell completes.
 //
 // It is also the sweep service's front end (docs/SERVICE.md): --serve
 // turns the process into a resident daemon whose ThreadPool and per-worker
@@ -19,9 +18,6 @@
 //   flipsim --serve 7447 &              # resident daemon
 //   flipsim --connect 7447 --scenario broadcast_small --trials 8 --jsonl
 //   flipsim --connect 7447 --shutdown
-//   flipsim --scenario broadcast --trials 16
-//       --bench-json bench/results/BENCH_baseline.json
-//       --bench-id baseline --git-rev $(git rev-parse --short HEAD)
 
 #include <algorithm>
 #include <cstdio>
@@ -66,9 +62,6 @@ struct CliFlags {
   std::string csv_path;
   bool jsonl = false;
   std::string jsonl_path;  // empty with jsonl=true -> stdout
-  std::string bench_json_path;
-  std::string bench_id = "baseline";
-  std::string git_rev = "unknown";
   bool quiet = false;
   // Service mode (docs/SERVICE.md).
   bool serve = false;
@@ -248,17 +241,6 @@ int main(int argc, char** argv) {
                             "stream one compact flipsim-sweep-v1 point JSON "
                             "line per grid cell (no path: stdout)",
                             &flags.jsonl_path, &flags.jsonl);
-  parser.add_option("--bench-json", "path",
-                    "write the docs/BENCHMARKS.md BENCH_*.json trajectory "
-                    "schema to <path>",
-                    &flags.bench_json_path);
-  parser.add_option("--bench-id", "id",
-                    "experiment id for --bench-json (default: baseline)",
-                    &flags.bench_id);
-  parser.add_option("--git-rev", "sha",
-                    "git revision recorded in --bench-json (default: "
-                    "unknown)",
-                    &flags.git_rev);
   parser.add_optional_value("--serve", "port",
                             "run as a resident sweep daemon on 127.0.0.1 "
                             "(no port: ephemeral, printed on stdout)",
@@ -449,10 +431,9 @@ int main(int argc, char** argv) {
     std::cerr << "error: --resume needs --checkpoint <file>\n";
     return 2;
   }
-  if (connecting &&
-      (flags.json || flags.csv || !flags.bench_json_path.empty())) {
-    std::cerr << "error: --connect streams compact JSON lines; --json/--csv/"
-                 "--bench-json apply to one-shot sweeps (use --jsonl)\n";
+  if (connecting && (flags.json || flags.csv)) {
+    std::cerr << "error: --connect streams compact JSON lines; --json/--csv "
+                 "apply to one-shot sweeps (use --jsonl)\n";
     return 2;
   }
 
@@ -559,8 +540,7 @@ int main(int argc, char** argv) {
 
     const bool need_table =
         !flags.quiet && !json_to_stdout && !csv_to_stdout && !jsonl_to_stdout;
-    spec.collect_points =
-        flags.json || !flags.bench_json_path.empty() || need_table;
+    spec.collect_points = flags.json || need_table;
 
     flip::cli::SweepPointSink sink;
     if (csv_out != nullptr || jsonl_out != nullptr ||
@@ -602,11 +582,6 @@ int main(int argc, char** argv) {
       } else if (!write_file(flags.json_path, json)) {
         return 1;
       }
-    }
-    if (!flags.bench_json_path.empty()) {
-      const std::string json = flip::cli::sweep_to_bench_json(
-          result, flags.bench_id, flags.git_rev);
-      if (!write_file(flags.bench_json_path, json)) return 1;
     }
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
