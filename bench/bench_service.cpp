@@ -22,9 +22,11 @@
 #include <cstdlib>
 #include <iostream>
 #include <optional>
+#include <stdexcept>
 #include <string>
 
 #include "cli/bench_report.hpp"
+#include "cli/sweep.hpp"
 #include "cli/wire.hpp"
 #include "net/service.hpp"
 #include "util/table.hpp"
@@ -76,14 +78,6 @@ int main(int argc, char** argv) {
 
   if (flipsim_path.empty()) flipsim_path = default_flipsim_path(argv[0]);
 
-  flip::cli::bench_banner(
-      options, "E21 bench_service",
-      "Engineering claim (docs/SERVICE.md): a resident sweep daemon "
-      "answers repeated small requests >= 5x faster than cold one-shot "
-      "CLI invocations, because process start-up, registry construction, "
-      "pool spawn, and the first-trial allocation ramp are paid once "
-      "instead of per sweep.");
-
   // The request both paths run: small enough that fixed costs dominate,
   // real enough to exercise the full sweep pipeline.
   const std::size_t req_n = n.value_or(16);
@@ -93,6 +87,32 @@ int main(int argc, char** argv) {
   request.scenario = "broadcast_small";
   request.ns = std::to_string(req_n);
   request.trials = req_trials;
+  // Reject what the server would refuse before starting it: the same
+  // argument-layer validation and per-cell registry resolution flipsim
+  // and the daemon's ingest run.
+  flip::cli::SweepSpec spec;
+  std::optional<std::string> reject =
+      flip::cli::resolve_sweep_request(request, spec);
+  if (!reject) {
+    try {
+      (void)flip::cli::expand_grid(spec);
+    } catch (const std::invalid_argument& e) {
+      reject = e.what();
+    }
+  }
+  if (reject) {
+    std::cerr << "error: " << *reject << "\n";
+    return 2;
+  }
+
+  flip::cli::bench_banner(
+      options, "E21 bench_service",
+      "Engineering measurement (docs/SERVICE.md): how much faster a "
+      "resident sweep daemon answers repeated small requests than cold "
+      "one-shot CLI invocations, which pay process start-up, registry "
+      "construction, pool spawn, and the first-trial allocation ramp per "
+      "sweep. The cold/warm ratio is recorded in BENCH_service.json, not "
+      "gated.");
 
   // --- warm: resident server, per-request connections -------------------
   flip::net::SweepServer server;
@@ -102,16 +122,21 @@ int main(int argc, char** argv) {
     return 1;
   }
   flip::net::SweepClient client(server.port());
-  // One untimed request absorbs the pool spawn and arena warm-up — the
-  // daemon's steady state is what repeated clients see.
-  (void)client.run_sweep(request);
-
   const std::size_t warm_reps = requests.value_or(16);
-  const auto warm_start = std::chrono::steady_clock::now();
-  for (std::size_t i = 0; i < warm_reps; ++i) {
+  double warm_seconds = 0.0;
+  try {
+    // One untimed request absorbs the pool spawn and arena warm-up — the
+    // daemon's steady state is what repeated clients see.
     (void)client.run_sweep(request);
+    const auto warm_start = std::chrono::steady_clock::now();
+    for (std::size_t i = 0; i < warm_reps; ++i) {
+      (void)client.run_sweep(request);
+    }
+    warm_seconds = seconds_since(warm_start);
+  } catch (const std::runtime_error& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 1;
   }
-  const double warm_seconds = seconds_since(warm_start);
   const double warm_ms = warm_seconds * 1000.0 / static_cast<double>(warm_reps);
   server.stop();
 

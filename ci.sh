@@ -231,8 +231,10 @@ fi
 # kernels from sharded rounds. The service layer runs here too: the sweep
 # daemon's ingest/runner threads, the ring-buffer handoff, the framing
 # helpers, and the thread-local TrialArena lease stack
-# (ServiceTest/RingBufferTest/FrameTest/TrialArenaTest — none need the
-# flipsim binary, so FLIP_BUILD_TOOLS=OFF is fine). Skip with
+# (ServiceTest/RingBufferTest/FrameTest/TrialArenaTest), plus the breathe
+# trial adapters, whose per-cell state the harness's workers share
+# read-only while each leases its own arena (ScenariosTest) — none need
+# the flipsim binary, so FLIP_BUILD_TOOLS=OFF is fine. Skip with
 # FLIP_SKIP_TSAN=1 (e.g. toolchains without tsan runtimes).
 if [ "${FLIP_SKIP_TSAN:-0}" != "1" ]; then
   TSAN_DIR="${BUILD_DIR}-tsan"
@@ -241,7 +243,7 @@ if [ "${FLIP_SKIP_TSAN:-0}" != "1" ]; then
     -DFLIP_BUILD_EXAMPLES=OFF -DFLIP_BUILD_TOOLS=OFF
   cmake --build "$TSAN_DIR" -j
   (cd "$TSAN_DIR" && ctest --output-on-failure -j "$(nproc)" \
-    -R 'BatchEngineTest|SweepDeterminismTest|ThreadPoolTest|PropertyDifferentialTest|SimdDifferentialTest|SimdKernelsTest|ServiceTest|RingBufferTest|FrameTest|TrialArenaTest|RegistryTest.TopologyEntriesRunBitEqualAcrossSubstratesAndShards')
+    -R 'BatchEngineTest|SweepDeterminismTest|ThreadPoolTest|PropertyDifferentialTest|SimdDifferentialTest|SimdKernelsTest|ServiceTest|RingBufferTest|FrameTest|TrialArenaTest|ScenariosTest|RegistryTest.TopologyEntriesRunBitEqualAcrossSubstratesAndShards')
 else
   echo "skipping ThreadSanitizer pass (FLIP_SKIP_TSAN=1)"
 fi

@@ -40,10 +40,10 @@
 // registry entry and shard-count invariance for the breathe scenarios;
 // treat any divergence as a bug in this file.
 //
-// One BatchEngine is meant to live per worker thread and run a whole block
-// of K trials of a scenario cell back to back (see BatchEngineLease);
-// every buffer is sized once and recycled, so trials after the first are
-// allocation-free.
+// One BatchEngine lives per worker thread, inside the thread's TrialArena
+// (sim/trial_arena.hpp), and runs every trial that thread executes back to
+// back; every buffer is sized once and recycled, so trials after the first
+// are allocation-free.
 
 #include <algorithm>
 #include <cmath>
@@ -456,6 +456,15 @@ template <bool kChurn, typename FlipFn, typename Update>
 
 }  // namespace detail
 
+/// The channels run_breathe() packs a flip functor for: the stateless,
+/// recipient-keyed ones (BSC, heterogeneous, burst schedule). The
+/// stateful AdversarialChannel is not one — it runs on the reference
+/// Engine only.
+template <typename Channel>
+concept BreatheChannel = requires(const Channel& channel) {
+  detail::make_flip(channel);
+};
+
 class BatchEngine {
  public:
   BatchEngine() = default;
@@ -489,28 +498,15 @@ class BatchEngine {
     return run_rounds(generic_, protocol, channel, key, options, max_rounds);
   }
 
-  /// The sharded SoA fast path for the two-stage breathe protocol. Runs one
-  /// execution; call in a loop for a block of trials (all buffers recycle).
-  /// `stage1_only` truncates the budget to Stage I, like run_broadcast's
-  /// stage1_only switch. Precondition: breathe_fast_supported(params).
-  /// Results are identical for every options.shards / pool combination.
-  template <typename Channel>
-  BreatheFastResult run_breathe(const Params& params,
-                                const BreatheConfig& config, Channel& channel,
-                                const StreamKey& trial_key, bool stage1_only,
-                                const BreatheRunOptions& options = {}) {
-    BreatheFastResult result;
-    run_breathe(params, config, channel, trial_key, stage1_only, options,
-                result);
-    return result;
-  }
-
-  /// Pooled overload — the warm path of the Monte-Carlo harness and the
-  /// sweep service: fills `result` in place (reset() keeps vector
-  /// capacity), so a per-thread TrialArena recycles the stage stats and
-  /// metrics series across trials instead of reallocating them. The
-  /// value-returning overload above delegates here.
-  template <typename Channel>
+  /// The sharded SoA fast path for the two-stage breathe protocol: runs
+  /// one execution into `result` (reset() keeps every vector's capacity,
+  /// so a per-thread TrialArena recycles the stage stats and probe series
+  /// across trials instead of reallocating them). Call in a loop for a
+  /// block of trials; all buffers recycle. `stage1_only` truncates the
+  /// budget to Stage I, like run_broadcast's stage1_only switch.
+  /// Precondition: breathe_fast_supported(params). Results are identical
+  /// for every options.shards / pool combination.
+  template <BreatheChannel Channel>
   void run_breathe(const Params& params, const BreatheConfig& config,
                    Channel& channel, const StreamKey& trial_key,
                    bool stage1_only, const BreatheRunOptions& options,
@@ -783,28 +779,6 @@ class BatchEngine {
   std::size_t shard_block_ = 0;  ///< agents per shard, ceil(n / shards)
   std::uint64_t shard_mul_ = 0;  ///< ceil(2^64 / shard_block_)
   ThreadPool* pool_ = nullptr;
-};
-
-/// RAII lease on the calling thread's persistent BatchEngine. Worker
-/// threads of the shared ThreadPool live for the whole process, so a
-/// sweep's grid cells all recycle the same per-worker scratch. A lease —
-/// not a bare reference — because ThreadPool::parallel_for's helping wait
-/// can make a thread pick up ANOTHER trial while its own engine is
-/// mid-run (sharded trials nested in parallel sweeps); the nested lease
-/// then hands out a second per-thread engine instead of clobbering the
-/// busy one. Destruction returns the engine to the thread's pool.
-class BatchEngineLease {
- public:
-  BatchEngineLease();
-  ~BatchEngineLease();
-  BatchEngineLease(const BatchEngineLease&) = delete;
-  BatchEngineLease& operator=(const BatchEngineLease&) = delete;
-
-  [[nodiscard]] BatchEngine& operator*() const noexcept { return *engine_; }
-  [[nodiscard]] BatchEngine* operator->() const noexcept { return engine_; }
-
- private:
-  BatchEngine* engine_;
 };
 
 }  // namespace flip

@@ -17,6 +17,22 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
 
 }  // namespace
 
+TrialOutcome engine_outcome(const Metrics& metrics, bool success,
+                            double correct_fraction,
+                            double convergence_round) {
+  TrialOutcome outcome;
+  outcome.success = success;
+  outcome.rounds = static_cast<double>(metrics.rounds);
+  outcome.messages = static_cast<double>(metrics.messages_sent);
+  outcome.correct_fraction = correct_fraction;
+  outcome.convergence_round = convergence_round;
+  outcome.delivered = metrics.delivered;
+  outcome.dropped = metrics.dropped;
+  outcome.erased = metrics.erased;
+  outcome.flipped = metrics.flipped;
+  return outcome;
+}
+
 TrialSummary run_trials(const TrialFn& fn, const TrialOptions& options) {
   if (options.trials == 0) {
     throw std::invalid_argument("run_trials: trials == 0");

@@ -7,6 +7,7 @@
 #include <functional>
 #include <limits>
 
+#include "sim/metrics.hpp"
 #include "util/stats.hpp"
 #include "util/thread_pool.hpp"
 
@@ -31,6 +32,13 @@ struct TrialOutcome {
   std::uint64_t erased = 0;
   std::uint64_t flipped = 0;
 };
+
+/// The outcome of one engine execution: rounds, messages and the counters
+/// straight from `metrics`, the verdicts from the caller. The one
+/// Metrics -> TrialOutcome mapping every engine-backed TrialFn uses.
+[[nodiscard]] TrialOutcome engine_outcome(
+    const Metrics& metrics, bool success, double correct_fraction,
+    double convergence_round = std::numeric_limits<double>::quiet_NaN());
 
 /// A scenario: given (seed, trial index), run one execution. Must be safe to
 /// call concurrently for distinct indices (each call builds its own engine

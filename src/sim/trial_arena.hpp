@@ -14,8 +14,10 @@
 // Arenas are leased, not referenced: ThreadPool's helping wait can make a
 // thread pick up ANOTHER trial while its own arena is mid-run (sharded
 // trials nested in parallel sweeps), so the thread keeps a stack of
-// arenas and a lease hands out the first idle one. BatchEngineLease
-// (sim/batch_engine.hpp) is the engine-only view of the same stack.
+// arenas and a lease hands out the first idle one. TrialArenaLease is the
+// one way to reach a thread's BatchEngine: the breathe scenarios run
+// every execution through it, and run_protocol below leases it for the
+// generic protocols.
 
 #include "sim/batch_engine.hpp"
 
@@ -52,5 +54,21 @@ class TrialArenaLease {
  private:
   TrialArena* arena_;
 };
+
+/// Runs an Engine-style protocol on the substrate `mode` names: the
+/// calling thread's leased BatchEngine with `protocol`/`channel` as
+/// concrete types (every per-message call devirtualized), or the classic
+/// virtual-dispatch Engine. Both run the same round loop on the per-agent
+/// streams of `key`, so the metrics are the same.
+template <FlipProtocolT P, typename C>
+Metrics run_protocol(EngineMode mode, std::size_t n, P& protocol,
+                     C& channel, const StreamKey& key, Round max_rounds) {
+  if (mode == EngineMode::kBatch) {
+    TrialArenaLease arena;
+    return arena->engine.run(n, protocol, channel, key, max_rounds);
+  }
+  Engine engine(n, channel, key);
+  return engine.run(protocol, max_rounds);
+}
 
 }  // namespace flip

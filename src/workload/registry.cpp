@@ -10,8 +10,7 @@
 #include "baselines/voter.hpp"
 #include "core/theory.hpp"
 #include "net/channel.hpp"
-#include "sim/batch_engine.hpp"
-#include "sim/engine.hpp"
+#include "sim/trial_arena.hpp"
 #include "util/math.hpp"
 #include "workload/scenarios.hpp"
 
@@ -36,6 +35,17 @@ Xoshiro256 baseline_rng(std::uint64_t seed, std::size_t trial,
 /// sparse enough to stay cheap. The classic entries keep probes off.
 constexpr Round kDynamicProbeEvery = 8;
 
+/// The probe rule of every breathe entry: record the series (and so a
+/// convergence round) exactly when the resolved environment is dynamic —
+/// a schedule, churn, a sparse graph or the adversarial channel — never
+/// by which entry the config came through.
+Round probe_every_for(const ScenarioConfig& config) {
+  const bool dynamic = config.schedule.enabled() || config.churn.enabled() ||
+                       !config.topology.complete() ||
+                       config.channel == kChannelAdversarial;
+  return dynamic ? kDynamicProbeEvery : 0;
+}
+
 BroadcastScenario broadcast_from(const ScenarioConfig& config) {
   BroadcastScenario scenario;
   scenario.n = config.n;
@@ -52,38 +62,37 @@ BroadcastScenario broadcast_from(const ScenarioConfig& config) {
     // spent adversarially on the earliest (most influential) messages.
     scenario.adversarial_budget = config.n / 2;
   }
-  if (scenario.schedule.enabled() || scenario.churn.enabled() ||
-      !scenario.topology.complete() || scenario.adversarial_budget > 0) {
-    scenario.probe_every = kDynamicProbeEvery;
-  }
+  scenario.probe_every = probe_every_for(config);
   return scenario;
 }
 
-/// Copies the engine counters into a baseline's outcome (the scenario
-/// TrialFns get them through to_outcome). The pull/AAE dynamics bypass the
-/// engine entirely and keep the zero defaults.
-void copy_counters(const Metrics& metrics, TrialOutcome& outcome) {
-  outcome.delivered = metrics.delivered;
-  outcome.dropped = metrics.dropped;
-  outcome.erased = metrics.erased;
-  outcome.flipped = metrics.flipped;
+/// Corollary 2.18's majority cell: |A| = max(64, n/16), majority-bias 0.25.
+MajorityScenario majority_from(const ScenarioConfig& config) {
+  MajorityScenario scenario;
+  scenario.n = config.n;
+  scenario.eps = config.eps;
+  scenario.initial_set = std::max<std::size_t>(64, config.n / 16);
+  scenario.majority_bias = 0.25;
+  scenario.engine = config.engine;
+  scenario.shards = config.shards;
+  scenario.schedule = config.schedule;
+  scenario.churn = config.churn;
+  scenario.topology = config.topology;
+  scenario.probe_every = probe_every_for(config);
+  return scenario;
 }
 
-/// Runs an Engine-style protocol on the substrate `config.engine` names:
-/// the classic virtual-dispatch Engine, or the calling thread's persistent
-/// BatchEngine with `protocol`/`channel` statically typed (devirtualized).
-/// Both draw from the same per-agent streams of (seed, trial)'s key, so
-/// the metrics are the same.
-template <typename P, typename C>
-Metrics run_on(const ScenarioConfig& config, P& protocol, C& channel,
-               std::uint64_t seed, std::size_t trial, Round max_rounds) {
-  const StreamKey key = trial_stream_key(seed, trial);
-  if (config.engine == EngineMode::kBatch) {
-    return BatchEngineLease()->run(config.n, protocol, channel, key,
-                                   max_rounds);
-  }
-  Engine engine(config.n, channel, key);
-  return engine.run(protocol, max_rounds);
+/// Section 3's desync cell at skew D = 8 (the clock-sync entry replaces
+/// the drawn offsets with the pre-phase's, which ignores max_skew).
+DesyncScenario desync_from(const ScenarioConfig& config) {
+  DesyncScenario scenario;
+  scenario.n = config.n;
+  scenario.eps = config.eps;
+  scenario.max_skew = 8;
+  scenario.engine = config.engine;
+  scenario.shards = config.shards;
+  scenario.schedule = config.schedule;
+  return scenario;
 }
 
 void register_builtin(ScenarioRegistry& registry) {
@@ -212,14 +221,7 @@ void register_builtin(ScenarioRegistry& registry) {
          "bursts",
          "desync", 1024, 0.2, bsc, burst}, true, false),
         [](const ScenarioConfig& config) {
-          DesyncScenario scenario;
-          scenario.n = config.n;
-          scenario.eps = config.eps;
-          scenario.max_skew = 8;
-          scenario.engine = config.engine;
-          scenario.shards = config.shards;
-          scenario.schedule = config.schedule;
-          return desync_trial_fn(scenario);
+          return desync_trial_fn(desync_from(config));
         });
   }
 
@@ -249,18 +251,7 @@ void register_builtin(ScenarioRegistry& registry) {
          "(start_asleep 0.25)",
          "majority", 1024, 0.2, bsc, EnvironmentSchedule{}, join_churn}, true, true))),
         [](const ScenarioConfig& config) {
-          MajorityScenario scenario;
-          scenario.n = config.n;
-          scenario.eps = config.eps;
-          scenario.initial_set = std::max<std::size_t>(64, config.n / 16);
-          scenario.majority_bias = 0.25;
-          scenario.engine = config.engine;
-          scenario.shards = config.shards;
-          scenario.schedule = config.schedule;
-          scenario.churn = config.churn;
-          scenario.topology = config.topology;
-          scenario.probe_every = kDynamicProbeEvery;
-          return majority_trial_fn(scenario);
+          return majority_trial_fn(majority_from(config));
         });
   }
 
@@ -314,18 +305,7 @@ void register_builtin(ScenarioRegistry& registry) {
        "p = 0.1)",
        "majority", 1024, 0.2, bsc}, true, true), "smallworld:8:0.1"),
       [](const ScenarioConfig& config) {
-        MajorityScenario scenario;
-        scenario.n = config.n;
-        scenario.eps = config.eps;
-        scenario.initial_set = std::max<std::size_t>(64, config.n / 16);
-        scenario.majority_bias = 0.25;
-        scenario.engine = config.engine;
-        scenario.shards = config.shards;
-        scenario.schedule = config.schedule;
-        scenario.churn = config.churn;
-        scenario.topology = config.topology;
-        scenario.probe_every = kDynamicProbeEvery;
-        return majority_trial_fn(scenario);
+        return majority_trial_fn(majority_from(config));
       });
 
   registry.add(
@@ -342,21 +322,7 @@ void register_builtin(ScenarioRegistry& registry) {
        "Corollary 2.18 majority-consensus: |A| = n/16, majority-bias 0.25",
        "majority", 1024, 0.2, bsc}, true, true))),
       [](const ScenarioConfig& config) {
-        MajorityScenario scenario;
-        scenario.n = config.n;
-        scenario.eps = config.eps;
-        scenario.initial_set = std::max<std::size_t>(64, config.n / 16);
-        scenario.majority_bias = 0.25;
-        scenario.engine = config.engine;
-        scenario.shards = config.shards;
-        scenario.schedule = config.schedule;
-        scenario.churn = config.churn;
-        scenario.topology = config.topology;
-        if (scenario.schedule.enabled() || scenario.churn.enabled() ||
-            !scenario.topology.complete()) {
-          scenario.probe_every = kDynamicProbeEvery;
-        }
-        return majority_trial_fn(scenario);
+        return majority_trial_fn(majority_from(config));
       });
 
   registry.add(
@@ -377,14 +343,7 @@ void register_builtin(ScenarioRegistry& registry) {
       env({"desync", "Section 3 broadcast without a global clock, skew D = 8",
        "desync", 1024, 0.2, bsc}, true, false),
       [](const ScenarioConfig& config) {
-        DesyncScenario scenario;
-        scenario.n = config.n;
-        scenario.eps = config.eps;
-        scenario.max_skew = 8;
-        scenario.engine = config.engine;
-        scenario.shards = config.shards;
-        scenario.schedule = config.schedule;
-        return desync_trial_fn(scenario);
+        return desync_trial_fn(desync_from(config));
       });
 
   registry.add(
@@ -392,13 +351,8 @@ void register_builtin(ScenarioRegistry& registry) {
        "Desync broadcast behind the Section 3.2 clock-sync pre-phase",
        "desync", 1024, 0.2, bsc}, true, false),
       [](const ScenarioConfig& config) {
-        DesyncScenario scenario;
-        scenario.n = config.n;
-        scenario.eps = config.eps;
+        DesyncScenario scenario = desync_from(config);
         scenario.use_clock_sync = true;
-        scenario.engine = config.engine;
-        scenario.shards = config.shards;
-        scenario.schedule = config.schedule;
         return desync_trial_fn(scenario);
       });
 
@@ -416,17 +370,13 @@ void register_builtin(ScenarioRegistry& registry) {
           silent.max_rounds = static_cast<Round>(
               64.0 * static_cast<double>(config.n) * unit);
           SilentListeningProtocol protocol(config.n, silent);
-          const Metrics metrics = run_on(config, protocol, channel, seed,
-                                         trial, silent.max_rounds);
-          TrialOutcome outcome;
-          outcome.correct_fraction =
+          const Metrics metrics =
+              run_protocol(config.engine, config.n, protocol, channel,
+                           trial_stream_key(seed, trial), silent.max_rounds);
+          const double correct =
               protocol.population().correct_fraction(Opinion::kOne);
-          outcome.success =
-              protocol.all_decided() && outcome.correct_fraction == 1.0;
-          outcome.rounds = static_cast<double>(metrics.rounds);
-          outcome.messages = static_cast<double>(metrics.messages_sent);
-          copy_counters(metrics, outcome);
-          return outcome;
+          return engine_outcome(
+              metrics, protocol.all_decided() && correct == 1.0, correct);
         });
       });
 
@@ -441,16 +391,12 @@ void register_builtin(ScenarioRegistry& registry) {
           forward.initial = {Seed{0, Opinion::kOne}};
           forward.stop_when_all_informed = true;
           ForwardGossipProtocol protocol(config.n, forward);
-          const Metrics metrics = run_on(config, protocol, channel, seed,
-                                         trial, Round{1} << 20);
-          TrialOutcome outcome;
-          outcome.success = protocol.population().unanimous(Opinion::kOne);
-          outcome.correct_fraction =
-              protocol.population().correct_fraction(Opinion::kOne);
-          outcome.rounds = static_cast<double>(metrics.rounds);
-          outcome.messages = static_cast<double>(metrics.messages_sent);
-          copy_counters(metrics, outcome);
-          return outcome;
+          const Metrics metrics =
+              run_protocol(config.engine, config.n, protocol, channel,
+                           trial_stream_key(seed, trial), Round{1} << 20);
+          return engine_outcome(
+              metrics, protocol.population().unanimous(Opinion::kOne),
+              protocol.population().correct_fraction(Opinion::kOne));
         });
       });
 
@@ -466,16 +412,12 @@ void register_builtin(ScenarioRegistry& registry) {
           voter.zealots = {Seed{0, Opinion::kOne}};
           voter.duration = static_cast<Round>(16.0 * unit);
           NoisyVoterProtocol protocol(config.n, voter);
-          const Metrics metrics = run_on(config, protocol, channel, seed,
-                                         trial, voter.duration);
-          TrialOutcome outcome;
-          outcome.success = protocol.population().unanimous(Opinion::kOne);
-          outcome.correct_fraction =
-              protocol.population().correct_fraction(Opinion::kOne);
-          outcome.rounds = static_cast<double>(metrics.rounds);
-          outcome.messages = static_cast<double>(metrics.messages_sent);
-          copy_counters(metrics, outcome);
-          return outcome;
+          const Metrics metrics =
+              run_protocol(config.engine, config.n, protocol, channel,
+                           trial_stream_key(seed, trial), voter.duration);
+          return engine_outcome(
+              metrics, protocol.population().unanimous(Opinion::kOne),
+              protocol.population().correct_fraction(Opinion::kOne));
         });
       });
 

@@ -1,9 +1,10 @@
 #include "workload/scenarios.hpp"
 
 #include <cmath>
-#include <memory>
 #include <optional>
 #include <stdexcept>
+#include <string>
+#include <type_traits>
 
 #include "net/channel.hpp"
 #include "sim/batch_engine.hpp"
@@ -38,64 +39,133 @@ CounterRng agent_setup_rng(const StreamKey& key, AgentId agent) {
   return CounterRng(round_stream_key(key, RngPurpose::kSetup, 0), agent);
 }
 
-/// The pool the sharded breathe phases run on: the process-wide shared
-/// pool (whose workers persist, so their scratch recycles across trials),
-/// or none when the trial is unsharded.
-ThreadPool* shard_pool(std::size_t shards) {
-  return shards > 1 ? &ThreadPool::shared() : nullptr;
+// --- the breathe families: broadcast / majority / boost -------------------
+// One two-stage protocol run from different initial sets. Each family's
+// scenario struct becomes one BreatheCell (cell_of), which one runner
+// executes on either substrate (run_cell); the surrogate engine takes a
+// SurrogateSpec instead (surrogate_spec). Both builders share the
+// family's validation, so a bad scenario is rejected with the same
+// message on every engine.
+
+/// The environment one breathe execution runs in: at most one of
+/// heterogeneous / schedule / adversarial selects the channel; churn and
+/// the interaction graph are orthogonal.
+struct BreatheEnvironment {
+  bool heterogeneous = false;
+  EnvironmentSchedule schedule{};
+  ChurnSpec churn{};
+  TopologySpec topology{};
+  std::uint64_t adversarial_budget = 0;
+};
+
+/// Broadcast's environment, with the channel exclusivity rules checked
+/// (the other families cannot select more than one channel).
+BreatheEnvironment broadcast_environment(const BroadcastScenario& scenario) {
+  if (scenario.heterogeneous_noise && scenario.schedule.enabled()) {
+    throw std::invalid_argument(
+        "breathe scenario: heterogeneous noise and an eps schedule are "
+        "mutually exclusive");
+  }
+  if (scenario.adversarial_budget != 0 &&
+      (scenario.heterogeneous_noise || scenario.schedule.enabled())) {
+    throw std::invalid_argument(
+        "breathe scenario: the adversarial channel excludes heterogeneous "
+        "noise and eps schedules");
+  }
+  return {.heterogeneous = scenario.heterogeneous_noise,
+          .schedule = scenario.schedule,
+          .churn = scenario.churn,
+          .topology = scenario.topology,
+          .adversarial_budget = scenario.adversarial_budget};
 }
 
-// Shared scenario -> (Params, BreatheConfig) derivation, used by both
-// substrates of each run_* function so the two can never drift apart in
-// setup. Validation happens before Params::calibrated, preserving the
-// original exception order.
+/// The correct-opinion count of an initial set of `set` agents with the
+/// given bias in (0, 1/2]: bias = (A_B - A_notB) / (2|A|), so
+/// A_B = |A| (1/2 + bias). `what` names the field in the error.
+std::size_t biased_count(double bias, std::size_t set, const char* what) {
+  if (!(bias > 0.0) || bias > 0.5) {
+    throw std::invalid_argument(std::string(what) + " not in (0, 0.5]");
+  }
+  return static_cast<std::size_t>(
+      std::llround((0.5 + bias) * static_cast<double>(set)));
+}
 
-BreatheConfig broadcast_breathe_config(const BroadcastScenario& scenario) {
+/// Everything one scenario cell's executions share, derived once: the
+/// schedule, the protocol config (whose initial seed list is O(n) for
+/// boost), the environment and the substrate knobs. The trial-fn adapter
+/// shares one cell read-only across the harness's worker threads.
+struct BreatheCell {
+  Params params;
+  BreatheConfig config;
+  double eps = 0.0;
+  BreatheEnvironment env;
+  EngineMode engine = EngineMode::kBatch;
+  std::size_t shards = 1;
+  /// Run Stage I only; success then means "every agent activated".
+  bool stage1_only = false;
+  Round probe_every = 0;
+};
+
+// cell_of keeps the scenarios' exception order: the bias checks run
+// before Params::calibrated, broadcast's channel rules after it.
+
+BreatheCell cell_of(const BroadcastScenario& scenario) {
+  Params params = Params::calibrated(scenario.n, scenario.eps,
+                                     scenario.tuning);
+  BreatheEnvironment env = broadcast_environment(scenario);
   BreatheConfig config = broadcast_config(scenario.correct);
   config.stage1_pick = scenario.stage1_pick;
   config.stage2_subset = scenario.stage2_subset;
-  return config;
+  return {.params = std::move(params),
+          .config = std::move(config),
+          .eps = scenario.eps,
+          .env = std::move(env),
+          .engine = scenario.engine,
+          .shards = scenario.shards,
+          .stage1_only = scenario.stage1_only,
+          .probe_every = scenario.probe_every};
 }
 
-Params majority_params(const MajorityScenario& scenario) {
-  if (!(scenario.majority_bias > 0.0) || scenario.majority_bias > 0.5) {
-    throw std::invalid_argument("run_majority: majority_bias not in (0, 0.5]");
-  }
-  return Params::calibrated(scenario.n, scenario.eps, scenario.tuning);
+BreatheCell cell_of(const MajorityScenario& scenario) {
+  const std::size_t correct_count =
+      biased_count(scenario.majority_bias, scenario.initial_set,
+                   "run_majority: majority_bias");
+  Params params = Params::calibrated(scenario.n, scenario.eps,
+                                     scenario.tuning);
+  BreatheConfig config = majority_config(params, scenario.initial_set,
+                                         correct_count, scenario.correct);
+  return {.params = std::move(params),
+          .config = std::move(config),
+          .eps = scenario.eps,
+          .env = {.schedule = scenario.schedule,
+                  .churn = scenario.churn,
+                  .topology = scenario.topology},
+          .engine = scenario.engine,
+          .shards = scenario.shards,
+          .probe_every = scenario.probe_every};
 }
 
-BreatheConfig majority_breathe_config(const Params& params,
-                                      const MajorityScenario& scenario) {
-  // majority-bias = (A_B - A_notB) / (2|A|)  =>  A_B = |A| (1/2 + bias).
-  const auto correct_count = static_cast<std::size_t>(
-      std::llround((0.5 + scenario.majority_bias) *
-                   static_cast<double>(scenario.initial_set)));
-  return majority_config(params, scenario.initial_set, correct_count,
-                         scenario.correct);
-}
-
-Params boost_params(const BoostScenario& scenario) {
-  if (!(scenario.initial_bias > 0.0) || scenario.initial_bias > 0.5) {
-    throw std::invalid_argument("run_boost: initial_bias not in (0, 0.5]");
-  }
-  return Params::calibrated(scenario.n, scenario.eps, scenario.tuning);
-}
-
-BreatheConfig boost_breathe_config(const Params& params,
-                                   const BoostScenario& scenario) {
-  const auto correct_count = static_cast<std::size_t>(
-      std::llround((0.5 + scenario.initial_bias) *
-                   static_cast<double>(scenario.n)));
+BreatheCell cell_of(const BoostScenario& scenario) {
+  const std::size_t correct_count = biased_count(
+      scenario.initial_bias, scenario.n, "run_boost: initial_bias");
+  Params params = Params::calibrated(scenario.n, scenario.eps,
+                                     scenario.tuning);
   BreatheConfig config =
       majority_config(params, scenario.n, correct_count, scenario.correct);
   config.skip_stage1 = true;
-  return config;
+  return {.params = std::move(params),
+          .config = std::move(config),
+          .eps = scenario.eps,
+          .env = {.topology = scenario.topology},
+          .engine = scenario.engine,
+          .shards = scenario.shards};
 }
 
-// Scenario -> SurrogateSpec derivations for EngineMode::kSurrogate. These
-// deliberately bypass the BreatheConfig builders: majority_config
-// materializes an O(n) seed vector, which at the surrogate's n = 1e9 would
-// cost more memory than the whole analysis — the spec carries counts only.
+// surrogate_spec: the scenario -> SurrogateSpec derivations for
+// EngineMode::kSurrogate. These deliberately bypass cell_of:
+// majority_config materializes an O(n) seed vector, which at the
+// surrogate's n = 1e9 would cost more memory than the whole analysis —
+// the spec carries counts only.
 
 /// The mean-field rate equations assume every sender reaches every
 /// recipient with probability 1/(n-1): a sparse interaction graph has no
@@ -110,7 +180,9 @@ void reject_sparse_topology(const TopologySpec& topology, const char* what) {
   }
 }
 
-SurrogateSpec broadcast_surrogate_spec(const BroadcastScenario& scenario) {
+SurrogateSpec surrogate_spec(const BroadcastScenario& scenario) {
+  // The channel rules come first, with the message cell_of gives.
+  (void)broadcast_environment(scenario);
   if (scenario.adversarial_budget != 0) {
     throw std::invalid_argument(
         "broadcast: the adversarial channel is stateful and order-"
@@ -135,19 +207,16 @@ SurrogateSpec broadcast_surrogate_spec(const BroadcastScenario& scenario) {
   return spec;
 }
 
-SurrogateSpec majority_surrogate_spec(const MajorityScenario& scenario) {
-  if (!(scenario.majority_bias > 0.0) || scenario.majority_bias > 0.5) {
-    throw std::invalid_argument("run_majority: majority_bias not in (0, 0.5]");
-  }
-  reject_sparse_topology(scenario.topology, "majority");
+SurrogateSpec surrogate_spec(const MajorityScenario& scenario) {
   SurrogateSpec spec;
+  spec.initial_correct =
+      biased_count(scenario.majority_bias, scenario.initial_set,
+                   "run_majority: majority_bias");
+  reject_sparse_topology(scenario.topology, "majority");
   spec.n = scenario.n;
   spec.eps = scenario.eps;
   spec.tuning = scenario.tuning;
   spec.initial_set = scenario.initial_set;
-  spec.initial_correct = static_cast<std::size_t>(
-      std::llround((0.5 + scenario.majority_bias) *
-                   static_cast<double>(scenario.initial_set)));
   spec.auto_join_phase = true;
   spec.schedule = scenario.schedule;
   spec.churn = scenario.churn;
@@ -155,34 +224,122 @@ SurrogateSpec majority_surrogate_spec(const MajorityScenario& scenario) {
   return spec;
 }
 
-SurrogateSpec boost_surrogate_spec(const BoostScenario& scenario) {
-  if (!(scenario.initial_bias > 0.0) || scenario.initial_bias > 0.5) {
-    throw std::invalid_argument("run_boost: initial_bias not in (0, 0.5]");
-  }
-  reject_sparse_topology(scenario.topology, "boost");
+SurrogateSpec surrogate_spec(const BoostScenario& scenario) {
   SurrogateSpec spec;
+  spec.initial_correct = biased_count(scenario.initial_bias, scenario.n,
+                                      "run_boost: initial_bias");
+  reject_sparse_topology(scenario.topology, "boost");
   spec.n = scenario.n;
   spec.eps = scenario.eps;
   spec.tuning = scenario.tuning;
   spec.initial_set = scenario.n;
-  spec.initial_correct = static_cast<std::size_t>(std::llround(
-      (0.5 + scenario.initial_bias) * static_cast<double>(scenario.n)));
   spec.skip_stage1 = true;
   return spec;
 }
 
-/// Maps a BreatheFastResult onto the RunDetail shape the classic path
-/// produces from the protocol's introspection.
-RunDetail fast_to_detail(BreatheFastResult&& fast) {
-  RunDetail detail;
-  detail.protocol_rounds = fast.protocol_rounds;
-  detail.metrics = std::move(fast.metrics);
-  detail.success = fast.success;
-  detail.correct_fraction = fast.correct_fraction;
-  detail.final_bias = fast.final_bias;
-  detail.stage1 = std::move(fast.stage1);
-  detail.stage2 = std::move(fast.stage2);
-  return detail;
+/// Whether the batch substrate's packed SoA path runs this cell. The
+/// adversarial ablation always runs on the reference Engine: the channel
+/// spends its budget in delivery order, so only the sequential substrate
+/// gives it a defined meaning (and batch == classic trivially).
+bool runs_fast_path(const BreatheCell& cell) {
+  return cell.engine == EngineMode::kBatch &&
+         breathe_fast_supported(cell.params) &&
+         cell.env.adversarial_budget == 0;
+}
+
+/// The one channel selection of a breathe execution: builds the channel
+/// the environment names and hands it to `run` as its concrete type, so
+/// the batch engine binds its flip functor statically (no virtual call in
+/// its loop) and the reference Engine takes it as a NoiseChannel&.
+/// `budget` anchors open-ended schedule segments ("ramp over the whole
+/// run") to the rounds this execution will actually run.
+template <typename Run>
+void with_channel(const BreatheCell& cell, Round budget, Run&& run) {
+  const BreatheEnvironment& env = cell.env;
+  if (env.adversarial_budget != 0) {
+    AdversarialChannel channel(env.adversarial_budget);
+    run(channel);
+  } else if (env.schedule.enabled()) {
+    CorrelatedBurstChannel channel(env.schedule.resolved(cell.eps, budget));
+    run(channel);
+  } else if (env.heterogeneous) {
+    HeterogeneousChannel channel(cell.eps);
+    run(channel);
+  } else {
+    BinarySymmetricChannel channel(cell.eps);
+    run(channel);
+  }
+}
+
+/// The reference substrate: the virtual Engine + BreatheProtocol on the
+/// same keys, its introspection copied into `result` in run_breathe's
+/// shape.
+void run_reference(const BreatheCell& cell, NoiseChannel& channel,
+                   const StreamKey& key, const EngineOptions& options,
+                   Round budget, BreatheFastResult& result) {
+  Engine engine(cell.params.n(), channel, key, options);
+  BreatheProtocol protocol(cell.params, cell.config, key);
+  result.reset();
+  result.protocol_rounds = budget;
+  result.metrics = engine.run(protocol, budget);
+  const Population& population = protocol.population();
+  result.success = protocol.succeeded();
+  result.opinionated = population.opinionated();
+  result.correct_fraction = population.correct_fraction(cell.config.correct);
+  result.final_bias = population.bias(cell.config.correct);
+  result.stage1 = protocol.stage1_stats();
+  result.stage2 = protocol.stage2_stats();
+}
+
+/// Runs one execution of `cell` for (seed, trial) into the calling
+/// thread's pooled TrialArena and returns `reduce(result)`, read before
+/// the lease hands the arena back. On the batch fast path with a static
+/// channel nothing here allocates once the arena is warm, so a reduce
+/// that only reads scalars keeps the Monte-Carlo trial allocation-free
+/// (tests/trial_arena_test.cpp holds this with a counting allocator).
+template <typename Reduce>
+auto run_cell(const BreatheCell& cell, std::uint64_t seed,
+              std::size_t trial, Reduce reduce) {
+  const StreamKey key = trial_stream_key(seed, trial);
+  const Round budget =
+      BatchEngine::breathe_schedule(cell.params, cell.config,
+                                    cell.stage1_only)
+          .budget;
+  EngineOptions options;
+  options.probe_every = cell.probe_every;
+  options.churn = cell.env.churn;
+  options.topology = cell.env.topology;
+
+  TrialArenaLease arena;
+  with_channel(cell, budget, [&](auto& channel) {
+    if constexpr (BreatheChannel<std::remove_cvref_t<decltype(channel)>>) {
+      if (runs_fast_path(cell)) {
+        BreatheRunOptions run_options;
+        run_options.engine = options;
+        run_options.shards = cell.shards;
+        // Sharded phases run on the process-wide pool, whose workers
+        // persist, so their scratch recycles across trials.
+        run_options.pool =
+            cell.shards > 1 ? &ThreadPool::shared() : nullptr;
+        arena->engine.run_breathe(cell.params, cell.config, channel, key,
+                                  cell.stage1_only, run_options,
+                                  arena->result);
+        return;
+      }
+    }
+    run_reference(cell, channel, key, options, budget, arena->result);
+  });
+  return reduce(arena->result);
+}
+
+/// Stage-I-only success = every agent activated, read from the stage1
+/// stats' total (identical on both substrates); otherwise the protocol's
+/// own verdict.
+bool cell_success(const BreatheCell& cell, const BreatheFastResult& result) {
+  if (!cell.stage1_only) return result.success;
+  const std::uint64_t activated =
+      result.stage1.empty() ? 0 : result.stage1.back().total_activated;
+  return activated == cell.params.n();
 }
 
 /// The convergence-round probe statistic: first stable crossing of 99%
@@ -195,263 +352,87 @@ double activation_convergence(const Metrics& metrics, std::size_t n) {
   return round ? static_cast<double>(*round) : kNoConvergence;
 }
 
-/// The environment one breathe execution runs in: at most one of
-/// heterogeneous / schedule / adversarial selects the channel; churn is
-/// orthogonal.
-struct BreatheEnvironment {
-  bool heterogeneous = false;
-  EnvironmentSchedule schedule{};
-  ChurnSpec churn{};
-  /// Interaction graph; orthogonal to the channel choice, like churn.
-  TopologySpec topology{};
-  std::uint64_t adversarial_budget = 0;
-};
-
-/// The environment exclusivity rules both the RunDetail and the pooled
-/// trial paths enforce: at most one of heterogeneous / schedule /
-/// adversarial selects the channel.
-void validate_breathe_env(const BreatheEnvironment& env) {
-  if (env.heterogeneous && env.schedule.enabled()) {
-    throw std::invalid_argument(
-        "breathe scenario: heterogeneous noise and an eps schedule are "
-        "mutually exclusive");
-  }
-  if (env.adversarial_budget != 0 &&
-      (env.heterogeneous || env.schedule.enabled())) {
-    throw std::invalid_argument(
-        "breathe scenario: the adversarial channel excludes heterogeneous "
-        "noise and eps schedules");
-  }
-}
-
-/// One breathe execution on the substrate the caller resolved: the shared
-/// body of run_broadcast / run_majority / run_boost (the former
-/// run_*_fast/run_* twins, deduplicated). `env` selects the channel and
-/// churn, `stage1_only`/`probe_every` mirror the broadcast knobs.
-RunDetail run_breathe_scenario(const Params& params,
-                               const BreatheConfig& config, double eps,
-                               const BreatheEnvironment& env,
-                               EngineMode engine_mode,
-                               std::size_t shards, bool stage1_only,
-                               Round probe_every, std::uint64_t seed,
-                               std::size_t trial) {
-  if (engine_mode == EngineMode::kSurrogate) {
+/// The RunDetail of one breathe execution: the public run_* result.
+template <typename Scenario>
+RunDetail run_breathe_detail(const Scenario& scenario, std::uint64_t seed,
+                             std::size_t trial) {
+  if (scenario.engine == EngineMode::kSurrogate) {
     // The surrogate yields analytic moments, not one execution's samples:
-    // there is no RunDetail to return. The *_trial_fn adapters intercept
-    // kSurrogate before reaching here.
+    // there is no RunDetail to return. Validate exactly as the surrogate
+    // trial fn would, so a bad scenario reports its own fault first.
+    (void)surrogate_spec(scenario);
     throw std::invalid_argument(
         "breathe scenario: the surrogate engine has no per-execution "
         "RunDetail; use the trial-fn adapters");
   }
-  validate_breathe_env(env);
-  const StreamKey key = trial_stream_key(seed, trial);
-  EngineOptions options;
-  options.probe_every = probe_every;
-  options.churn = env.churn;
-  options.topology = env.topology;
-  const Round budget =
-      BatchEngine::breathe_schedule(params, config, stage1_only).budget;
-  // Anchor open-ended schedule segments ("ramp over the whole run") to the
-  // rounds this execution will actually run.
-  const EnvironmentSchedule schedule = env.schedule.resolved(eps, budget);
-
-  RunDetail detail;
-  // The adversarial ablation always runs on the reference Engine: the
-  // channel spends its budget in delivery order, so only the sequential
-  // substrate gives it a defined meaning (and batch == classic trivially).
-  if (engine_mode == EngineMode::kBatch && breathe_fast_supported(params) &&
-      env.adversarial_budget == 0) {
-    BreatheRunOptions run_options;
-    run_options.engine = options;
-    run_options.shards = shards;
-    run_options.pool = shard_pool(shards);
-    BatchEngineLease engine;
-    BreatheFastResult fast;
-    if (env.schedule.enabled()) {
-      CorrelatedBurstChannel channel(schedule);
-      fast = engine->run_breathe(params, config, channel, key, stage1_only,
-                                 run_options);
-    } else if (env.heterogeneous) {
-      HeterogeneousChannel channel(eps);
-      fast = engine->run_breathe(params, config, channel, key, stage1_only,
-                                 run_options);
-    } else {
-      BinarySymmetricChannel channel(eps);
-      fast = engine->run_breathe(params, config, channel, key, stage1_only,
-                                 run_options);
-    }
-    detail = fast_to_detail(std::move(fast));
+  const BreatheCell cell = cell_of(scenario);
+  return run_cell(cell, seed, trial, [&](const BreatheFastResult& result) {
+    RunDetail detail;
+    detail.metrics = result.metrics;
+    detail.success = cell_success(cell, result);
+    detail.correct_fraction = result.correct_fraction;
+    detail.final_bias = result.final_bias;
+    detail.protocol_rounds = result.protocol_rounds;
+    detail.stage1 = result.stage1;
+    detail.stage2 = result.stage2;
     detail.convergence_round =
-        activation_convergence(detail.metrics, params.n());
+        activation_convergence(result.metrics, cell.params.n());
     return detail;
-  }
-
-  // Reference substrate: virtual Engine + BreatheProtocol, same keys.
-  std::unique_ptr<NoiseChannel> channel;
-  if (env.adversarial_budget != 0) {
-    channel = std::make_unique<AdversarialChannel>(env.adversarial_budget);
-  } else if (env.schedule.enabled()) {
-    channel = std::make_unique<CorrelatedBurstChannel>(schedule);
-  } else if (env.heterogeneous) {
-    channel = std::make_unique<HeterogeneousChannel>(eps);
-  } else {
-    channel = std::make_unique<BinarySymmetricChannel>(eps);
-  }
-  Engine engine(params.n(), *channel, key, options);
-  BreatheProtocol protocol(params, config, key);
-
-  detail.protocol_rounds = budget;
-  detail.metrics = engine.run(protocol, budget);
-  detail.success = protocol.succeeded();
-  detail.correct_fraction =
-      protocol.population().correct_fraction(config.correct);
-  detail.final_bias = protocol.population().bias(config.correct);
-  detail.stage1 = protocol.stage1_stats();
-  detail.stage2 = protocol.stage2_stats();
-  detail.convergence_round =
-      activation_convergence(detail.metrics, params.n());
-  return detail;
+  });
 }
 
-/// The warm Monte-Carlo path: one batch fast-path execution through the
-/// calling thread's pooled TrialArena, reduced straight to the
-/// TrialOutcome scalars. No RunDetail is materialized and nothing escapes
-/// the arena, so after one warm-up trial per cell shape the per-trial
-/// heap allocation count is zero on static channels (the trial_arena
-/// tests hold this with a counting allocator; CorrelatedBurstChannel
-/// still materializes its resolved schedule per trial). Returns nullopt
-/// when the fast path does not apply — classic engine, adversarial
-/// channel, unpackable schedule — and the caller falls back to the
-/// RunDetail substrate dispatch above. Identical outcomes either way.
-std::optional<TrialOutcome> pooled_breathe_outcome(
-    const Params& params, const BreatheConfig& config, double eps,
-    const BreatheEnvironment& env, EngineMode engine_mode,
-    std::size_t shards, bool stage1_only, Round probe_every,
-    std::uint64_t seed, std::size_t trial) {
-  if (engine_mode != EngineMode::kBatch || !breathe_fast_supported(params) ||
-      env.adversarial_budget != 0) {
-    return std::nullopt;
+/// The Monte-Carlo adapter of every breathe family: the cell is built once
+/// and shared read-only by the harness's workers; each trial reduces the
+/// arena's result straight to the TrialOutcome scalars.
+template <typename Scenario>
+TrialFn breathe_trial_fn(const Scenario& scenario) {
+  if (scenario.engine == EngineMode::kSurrogate) {
+    return surrogate_trial_fn(surrogate_spec(scenario));
   }
-  const StreamKey key = trial_stream_key(seed, trial);
-  BreatheRunOptions run_options;
-  run_options.engine.probe_every = probe_every;
-  run_options.engine.churn = env.churn;
-  run_options.engine.topology = env.topology;
-  run_options.shards = shards;
-  run_options.pool = shard_pool(shards);
-
-  TrialArenaLease arena;
-  BreatheFastResult& fast = arena->result;
-  if (env.schedule.enabled()) {
-    const Round budget =
-        BatchEngine::breathe_schedule(params, config, stage1_only).budget;
-    CorrelatedBurstChannel channel(env.schedule.resolved(eps, budget));
-    arena->engine.run_breathe(params, config, channel, key, stage1_only,
-                              run_options, fast);
-  } else if (env.heterogeneous) {
-    HeterogeneousChannel channel(eps);
-    arena->engine.run_breathe(params, config, channel, key, stage1_only,
-                              run_options, fast);
-  } else {
-    BinarySymmetricChannel channel(eps);
-    arena->engine.run_breathe(params, config, channel, key, stage1_only,
-                              run_options, fast);
-  }
-
-  TrialOutcome outcome;
-  outcome.success = fast.success;
-  if (stage1_only) {
-    // Stage-I-only success = every agent activated: run_broadcast's
-    // post-processing, applied here so both paths report identically.
-    const std::uint64_t activated =
-        fast.stage1.empty() ? 0 : fast.stage1.back().total_activated;
-    outcome.success = activated == params.n();
-  }
-  outcome.rounds = static_cast<double>(fast.metrics.rounds);
-  outcome.messages = static_cast<double>(fast.metrics.messages_sent);
-  outcome.correct_fraction = fast.correct_fraction;
-  outcome.convergence_round =
-      activation_convergence(fast.metrics, params.n());
-  outcome.delivered = fast.metrics.delivered;
-  outcome.dropped = fast.metrics.dropped;
-  outcome.erased = fast.metrics.erased;
-  outcome.flipped = fast.metrics.flipped;
-  return outcome;
+  return [cell = cell_of(scenario)](std::uint64_t seed, std::size_t trial) {
+    return run_cell(cell, seed, trial, [&](const BreatheFastResult& result) {
+      return engine_outcome(
+          result.metrics, cell_success(cell, result),
+          result.correct_fraction,
+          activation_convergence(result.metrics, cell.params.n()));
+    });
+  };
 }
 
-}  // namespace
-
-TrialOutcome to_outcome(const RunDetail& detail) {
-  TrialOutcome outcome;
-  outcome.success = detail.success;
-  outcome.rounds = static_cast<double>(detail.metrics.rounds);
-  outcome.messages = static_cast<double>(detail.metrics.messages_sent);
-  outcome.correct_fraction = detail.correct_fraction;
-  outcome.convergence_round = detail.convergence_round;
-  outcome.delivered = detail.metrics.delivered;
-  outcome.dropped = detail.metrics.dropped;
-  outcome.erased = detail.metrics.erased;
-  outcome.flipped = detail.metrics.flipped;
-  return outcome;
-}
-
-RunDetail run_broadcast(const BroadcastScenario& scenario, std::uint64_t seed,
-                        std::size_t trial) {
-  const Params params = Params::calibrated(scenario.n, scenario.eps,
-                                           scenario.tuning);
-  BreatheEnvironment env;
-  env.heterogeneous = scenario.heterogeneous_noise;
-  env.schedule = scenario.schedule;
-  env.churn = scenario.churn;
-  env.topology = scenario.topology;
-  env.adversarial_budget = scenario.adversarial_budget;
-  RunDetail detail = run_breathe_scenario(
-      params, broadcast_breathe_config(scenario), scenario.eps, env,
-      scenario.engine, scenario.shards,
-      scenario.stage1_only, scenario.probe_every, seed, trial);
-  if (scenario.stage1_only) {
-    // Stage-I-only success = every agent activated. The batch substrate
-    // reports opinionated agents through correct_fraction/bias over pop_;
-    // recompute from the stage1 stats' total (identical on both paths).
-    const std::uint64_t activated =
-        detail.stage1.empty() ? 0 : detail.stage1.back().total_activated;
-    detail.success = activated == scenario.n;
-  }
-  return detail;
-}
-
-RunDetail run_majority(const MajorityScenario& scenario, std::uint64_t seed,
-                       std::size_t trial) {
-  const Params params = majority_params(scenario);
-  BreatheEnvironment env;
-  env.schedule = scenario.schedule;
-  env.churn = scenario.churn;
-  env.topology = scenario.topology;
-  return run_breathe_scenario(
-      params, majority_breathe_config(params, scenario), scenario.eps, env,
-      scenario.engine, scenario.shards,
-      /*stage1_only=*/false, scenario.probe_every, seed, trial);
-}
-
-RunDetail run_boost(const BoostScenario& scenario, std::uint64_t seed,
-                    std::size_t trial) {
-  const Params params = boost_params(scenario);
-  BreatheEnvironment env;
-  env.topology = scenario.topology;
-  return run_breathe_scenario(
-      params, boost_breathe_config(params, scenario), scenario.eps, env,
-      scenario.engine, scenario.shards,
-      /*stage1_only=*/false, /*probe_every=*/0, seed, trial);
-}
-
-RunDetail run_desync(const DesyncScenario& scenario, std::uint64_t seed,
-                     std::size_t trial) {
+void reject_surrogate(const DesyncScenario& scenario) {
   if (scenario.engine == EngineMode::kSurrogate) {
     throw std::invalid_argument(
         "desync: per-agent clock offsets break the homogeneous-population "
         "assumption of the surrogate engine; use --engine batch or "
         "--engine classic");
   }
+}
+
+}  // namespace
+
+TrialOutcome to_outcome(const RunDetail& detail) {
+  return engine_outcome(detail.metrics, detail.success,
+                        detail.correct_fraction, detail.convergence_round);
+}
+
+RunDetail run_broadcast(const BroadcastScenario& scenario, std::uint64_t seed,
+                        std::size_t trial) {
+  return run_breathe_detail(scenario, seed, trial);
+}
+
+RunDetail run_majority(const MajorityScenario& scenario, std::uint64_t seed,
+                       std::size_t trial) {
+  return run_breathe_detail(scenario, seed, trial);
+}
+
+RunDetail run_boost(const BoostScenario& scenario, std::uint64_t seed,
+                    std::size_t trial) {
+  return run_breathe_detail(scenario, seed, trial);
+}
+
+RunDetail run_desync(const DesyncScenario& scenario, std::uint64_t seed,
+                     std::size_t trial) {
+  reject_surrogate(scenario);
   const Params params = Params::calibrated(scenario.n, scenario.eps,
                                            scenario.tuning);
   const StreamKey key = trial_stream_key(seed, trial);
@@ -494,12 +475,8 @@ RunDetail run_desync(const DesyncScenario& scenario, std::uint64_t seed,
   detail.protocol_rounds = protocol.total_rounds();
   detail.desync_overhead = protocol.desync_overhead();
   const auto run_on_channel = [&](auto& channel) {
-    if (scenario.engine == EngineMode::kBatch) {
-      return BatchEngineLease()->run(scenario.n, protocol, channel, key,
-                                     protocol.total_rounds());
-    }
-    Engine engine(scenario.n, channel, key);
-    return engine.run(protocol, protocol.total_rounds());
+    return run_protocol(scenario.engine, scenario.n, protocol, channel, key,
+                        protocol.total_rounds());
   };
   if (scenario.schedule.enabled()) {
     CorrelatedBurstChannel channel(
@@ -518,89 +495,20 @@ RunDetail run_desync(const DesyncScenario& scenario, std::uint64_t seed,
   return detail;
 }
 
-// The exact-engine adapters below hoist everything that depends only on
-// the scenario — Params::calibrated, the BreatheConfig (whose initial
-// seed list is O(n) for boost), the environment — out of the per-trial
-// closure into per-cell state shared read-only across the harness's
-// worker threads. The warm per-trial path then runs through the pooled
-// TrialArena and allocates nothing; scenarios the fast path cannot take
-// fall back to the public RunDetail runners, same outcomes bit for bit.
-
 TrialFn broadcast_trial_fn(BroadcastScenario scenario) {
-  if (scenario.engine == EngineMode::kSurrogate) {
-    return surrogate_trial_fn(broadcast_surrogate_spec(scenario));
-  }
-  const Params params =
-      Params::calibrated(scenario.n, scenario.eps, scenario.tuning);
-  BreatheEnvironment env;
-  env.heterogeneous = scenario.heterogeneous_noise;
-  env.schedule = scenario.schedule;
-  env.churn = scenario.churn;
-  env.topology = scenario.topology;
-  env.adversarial_budget = scenario.adversarial_budget;
-  validate_breathe_env(env);
-  return [scenario, params, env,
-          config = broadcast_breathe_config(scenario)](
-             std::uint64_t seed, std::size_t trial) {
-    if (const auto outcome = pooled_breathe_outcome(
-            params, config, scenario.eps, env, scenario.engine,
-            scenario.shards, scenario.stage1_only, scenario.probe_every,
-            seed, trial)) {
-      return *outcome;
-    }
-    return to_outcome(run_broadcast(scenario, seed, trial));
-  };
+  return breathe_trial_fn(scenario);
 }
 
 TrialFn majority_trial_fn(MajorityScenario scenario) {
-  if (scenario.engine == EngineMode::kSurrogate) {
-    return surrogate_trial_fn(majority_surrogate_spec(scenario));
-  }
-  const Params params = majority_params(scenario);
-  BreatheEnvironment env;
-  env.schedule = scenario.schedule;
-  env.churn = scenario.churn;
-  env.topology = scenario.topology;
-  return [scenario, params, env,
-          config = majority_breathe_config(params, scenario)](
-             std::uint64_t seed, std::size_t trial) {
-    if (const auto outcome = pooled_breathe_outcome(
-            params, config, scenario.eps, env, scenario.engine,
-            scenario.shards, /*stage1_only=*/false, scenario.probe_every,
-            seed, trial)) {
-      return *outcome;
-    }
-    return to_outcome(run_majority(scenario, seed, trial));
-  };
+  return breathe_trial_fn(scenario);
 }
 
 TrialFn boost_trial_fn(BoostScenario scenario) {
-  if (scenario.engine == EngineMode::kSurrogate) {
-    return surrogate_trial_fn(boost_surrogate_spec(scenario));
-  }
-  const Params params = boost_params(scenario);
-  BreatheEnvironment env;
-  env.topology = scenario.topology;
-  return [scenario, params, env,
-          config = boost_breathe_config(params, scenario)](
-             std::uint64_t seed, std::size_t trial) {
-    if (const auto outcome = pooled_breathe_outcome(
-            params, config, scenario.eps, env, scenario.engine,
-            scenario.shards, /*stage1_only=*/false, /*probe_every=*/0,
-            seed, trial)) {
-      return *outcome;
-    }
-    return to_outcome(run_boost(scenario, seed, trial));
-  };
+  return breathe_trial_fn(scenario);
 }
 
 TrialFn desync_trial_fn(DesyncScenario scenario) {
-  if (scenario.engine == EngineMode::kSurrogate) {
-    throw std::invalid_argument(
-        "desync: per-agent clock offsets break the homogeneous-population "
-        "assumption of the surrogate engine; use --engine batch or "
-        "--engine classic");
-  }
+  reject_surrogate(scenario);
   return [scenario](std::uint64_t seed, std::size_t trial) {
     return to_outcome(run_desync(scenario, seed, trial));
   };

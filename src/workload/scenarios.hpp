@@ -11,6 +11,15 @@
 // counter-keyed per-agent streams (util/rng.hpp), so for the same
 // (seed, trial) they return bit-identical RunDetails — for every `shards`
 // value. tests/batch_engine_test.cpp enforces this.
+//
+// Broadcast, majority and boost are one two-stage protocol run from
+// different initial sets, and share one execution path: run_* and the
+// *_trial_fn adapters both run the scenario's per-cell state through the
+// calling thread's pooled TrialArena (sim/trial_arena.hpp), reducing the
+// same result to a RunDetail or straight to a TrialOutcome. Bad input is
+// rejected with the same std::invalid_argument message by both, on every
+// engine (kSurrogate included: run_* validates, then refuses — the
+// surrogate yields moments, not one execution).
 
 #include <cstdint>
 #include <limits>

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <stdexcept>
 
 namespace flip {
@@ -217,6 +218,44 @@ TEST(RegistryTest, TopologyEntriesRunBitEqualAcrossSubstratesAndShards) {
       EXPECT_EQ(batch.flipped, other->flipped) << name;
     }
     EXPECT_GT(batch.messages, 0.0) << name;
+  }
+}
+
+// majority, majority_churn and majority_smallworld differ only in their
+// registered defaults: resolved to the same config they must run the same
+// trial — convergence_round included, so the probe rule follows the
+// resolved environment, not the entry name (null on the static complete
+// graph, measured once churn or a sparse graph makes it dynamic).
+TEST(RegistryTest, MajorityEntriesAgreeForTheSameResolvedConfig) {
+  const ScenarioRegistry& registry = ScenarioRegistry::instance();
+  ChurnSpec churn;
+  churn.sleep_prob = 0.005;
+  churn.wake_prob = 0.1;
+  for (const bool dynamic : {false, true}) {
+    ScenarioOverrides overrides;
+    overrides.n = 256;
+    overrides.churn = dynamic ? churn : ChurnSpec{};
+    overrides.topology = TopologySpec{};
+    const TrialOutcome expected =
+        registry.make("majority", overrides)(0xF00D, 1);
+    EXPECT_EQ(std::isnan(expected.convergence_round), !dynamic);
+    for (const char* name : {"majority_churn", "majority_smallworld"}) {
+      const TrialOutcome got = registry.make(name, overrides)(0xF00D, 1);
+      EXPECT_EQ(got.success, expected.success) << name;
+      EXPECT_EQ(got.rounds, expected.rounds) << name;
+      EXPECT_EQ(got.messages, expected.messages) << name;
+      EXPECT_EQ(got.correct_fraction, expected.correct_fraction) << name;
+      EXPECT_EQ(std::isnan(got.convergence_round),
+                std::isnan(expected.convergence_round))
+          << name;
+      if (!std::isnan(expected.convergence_round)) {
+        EXPECT_EQ(got.convergence_round, expected.convergence_round) << name;
+      }
+      EXPECT_EQ(got.delivered, expected.delivered) << name;
+      EXPECT_EQ(got.dropped, expected.dropped) << name;
+      EXPECT_EQ(got.erased, expected.erased) << name;
+      EXPECT_EQ(got.flipped, expected.flipped) << name;
+    }
   }
 }
 

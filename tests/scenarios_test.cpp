@@ -3,9 +3,39 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 namespace flip {
 namespace {
+
+/// The std::invalid_argument message `call` throws ("" when it throws
+/// nothing).
+template <typename Call>
+std::string rejection(Call call) {
+  try {
+    call();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+/// Bad input must be rejected alike everywhere: by the RunDetail runner
+/// and by the TrialFn adapter (building it, or else running a trial), on
+/// the batch, classic and surrogate engines, with `expected` every time.
+template <typename Scenario, typename Run, typename MakeFn>
+void expect_rejected_on_every_path(Scenario scenario, Run run,
+                                   MakeFn make_fn,
+                                   const std::string& expected) {
+  for (const EngineMode engine :
+       {EngineMode::kBatch, EngineMode::kClassic, EngineMode::kSurrogate}) {
+    scenario.engine = engine;
+    EXPECT_EQ(rejection([&] { (void)run(scenario, 1, 0); }), expected)
+        << "run_*, engine " << engine_mode_name(engine);
+    EXPECT_EQ(rejection([&] { (void)make_fn(scenario)(1, 0); }), expected)
+        << "*_trial_fn, engine " << engine_mode_name(engine);
+  }
+}
 
 TEST(ScenariosTest, BroadcastRunIsDeterministic) {
   BroadcastScenario scenario;
@@ -49,11 +79,43 @@ TEST(ScenariosTest, ProbeSeriesWhenRequested) {
 }
 
 TEST(ScenariosTest, MajorityValidatesBias) {
-  MajorityScenario scenario;
-  scenario.majority_bias = 0.0;
-  EXPECT_THROW(run_majority(scenario, 1, 0), std::invalid_argument);
-  scenario.majority_bias = 0.6;
-  EXPECT_THROW(run_majority(scenario, 1, 0), std::invalid_argument);
+  for (const double bias : {0.0, -0.1, 0.6}) {
+    MajorityScenario scenario;
+    scenario.majority_bias = bias;
+    expect_rejected_on_every_path(
+        scenario, run_majority, majority_trial_fn,
+        "run_majority: majority_bias not in (0, 0.5]");
+  }
+}
+
+TEST(ScenariosTest, BoostValidatesBias) {
+  for (const double bias : {0.0, -0.1, 0.6}) {
+    BoostScenario scenario;
+    scenario.initial_bias = bias;
+    expect_rejected_on_every_path(scenario, run_boost, boost_trial_fn,
+                                  "run_boost: initial_bias not in (0, 0.5]");
+  }
+}
+
+TEST(ScenariosTest, BroadcastValidatesChannelExclusivity) {
+  EnvironmentSchedule ramp;
+  ramp.segments.push_back(EpsSegment{0, 0, 0.35, 0.1});
+
+  BroadcastScenario heterogeneous;
+  heterogeneous.heterogeneous_noise = true;
+  heterogeneous.schedule = ramp;
+  expect_rejected_on_every_path(
+      heterogeneous, run_broadcast, broadcast_trial_fn,
+      "breathe scenario: heterogeneous noise and an eps schedule are "
+      "mutually exclusive");
+
+  BroadcastScenario adversarial;
+  adversarial.adversarial_budget = 64;
+  adversarial.schedule = ramp;
+  expect_rejected_on_every_path(
+      adversarial, run_broadcast, broadcast_trial_fn,
+      "breathe scenario: the adversarial channel excludes heterogeneous "
+      "noise and eps schedules");
 }
 
 TEST(ScenariosTest, MajorityScenarioSucceedsAboveThresholds) {

@@ -1,10 +1,12 @@
 // The TrialArena pooling contract (sim/trial_arena.hpp): once a worker
 // thread's arena is warm, running another trial through the pooled
 // BatchEngine path performs ZERO heap allocations — proven here with a
-// counting global operator new, not argued from reading the code. The
-// lease-stack semantics (same arena back on re-acquire, distinct arenas
-// under nesting, BatchEngineLease sharing the same stack) are pinned too,
-// because the helping-wait reentrancy in the thread pool depends on them.
+// counting global operator new, not argued from reading the code — both
+// for the engine's pooled run_breathe overload and for the scenario
+// TrialFns the Monte-Carlo harness actually calls. The lease-stack
+// semantics (same arena back on re-acquire, distinct arenas under
+// nesting) are pinned too, because the helping-wait reentrancy in the
+// thread pool depends on them.
 //
 // This TU replaces the global operator new/delete for the whole test
 // binary with a counting passthrough. That is safe binary-wide (every
@@ -26,6 +28,7 @@
 #include "net/channel.hpp"
 #include "sim/batch_engine.hpp"
 #include "util/rng.hpp"
+#include "workload/scenarios.hpp"
 
 namespace {
 
@@ -77,9 +80,10 @@ void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
 namespace flip {
 namespace {
 
-/// One warm trial exactly as the pooled scenario path runs it
-/// (workload/scenarios.cpp pooled_breathe_outcome): lease the thread's
-/// arena, build the per-trial channel, fill the pooled result in place.
+/// One warm engine-level trial: lease the thread's arena, build the
+/// per-trial channel, fill the pooled result in place. Drives run_breathe
+/// directly so the sharded cases can run their phases inline (the
+/// scenario TrialFns put shards > 1 on the shared pool).
 void run_pooled_trial(const Params& params, const BreatheConfig& config,
                       const BreatheRunOptions& options, std::uint64_t seed,
                       std::size_t trial) {
@@ -127,6 +131,43 @@ TEST(TrialArenaTest, WarmTrialMakesNoHeapAllocationsUnderChurn) {
   expect_zero_alloc_warm_trials(/*shards=*/8, /*churn=*/true);
 }
 
+/// Heap allocations made by four trials of `fn` after one warm-up trial.
+std::uint64_t warm_trial_allocations(const TrialFn& fn) {
+  (void)fn(0x5eed, 0);
+  const std::uint64_t before = allocation_count();
+  for (std::size_t trial = 1; trial <= 4; ++trial) (void)fn(0x5eed, trial);
+  return allocation_count() - before;
+}
+
+// The production Monte-Carlo path: the scenario adapters' per-trial
+// closure (arena lease, channel, run_breathe, reduction to TrialOutcome)
+// on the batch engine, unsharded, with probes recorded.
+TEST(TrialArenaTest, WarmScenarioTrialFnsMakeNoHeapAllocations) {
+  for (const bool churn : {false, true}) {
+    ChurnSpec churn_spec;
+    if (churn) {
+      churn_spec.sleep_prob = 0.01;
+      churn_spec.wake_prob = 0.2;
+    }
+    BroadcastScenario broadcast;
+    broadcast.n = 256;
+    broadcast.eps = 0.3;
+    broadcast.probe_every = 16;
+    broadcast.churn = churn_spec;
+    EXPECT_EQ(warm_trial_allocations(broadcast_trial_fn(broadcast)), 0u)
+        << "broadcast_trial_fn, churn=" << churn;
+
+    MajorityScenario majority;
+    majority.n = 256;
+    majority.eps = 0.3;
+    majority.initial_set = 32;
+    majority.probe_every = 16;
+    majority.churn = churn_spec;
+    EXPECT_EQ(warm_trial_allocations(majority_trial_fn(majority)), 0u)
+        << "majority_trial_fn, churn=" << churn;
+  }
+}
+
 TEST(TrialArenaTest, LeaseReturnsTheSameArenaAfterRelease) {
   TrialArena* first = nullptr;
   {
@@ -144,17 +185,6 @@ TEST(TrialArenaTest, NestedLeasesGetDistinctArenas) {
   EXPECT_NE(&*outer, &*inner)
       << "helping-wait reentrancy: a nested lease may not alias the arena "
          "of the trial it interrupted";
-}
-
-TEST(TrialArenaTest, BatchEngineLeaseSharesTheArenaStack) {
-  TrialArena* arena = nullptr;
-  {
-    TrialArenaLease lease;
-    arena = &*lease;
-  }
-  BatchEngineLease engine;
-  EXPECT_EQ(&*engine, &arena->engine)
-      << "the engine-only lease is a view of the same per-thread arena";
 }
 
 TEST(TrialArenaTest, PooledResultKeepsVectorStorageAcrossTrials) {
